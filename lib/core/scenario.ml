@@ -8,7 +8,6 @@ module Layering = Mcc_mcast.Layering
 module Router_agent = Mcc_sigma.Router_agent
 module Tcp = Mcc_transport.Tcp
 module On_off = Mcc_transport.On_off
-module Field = Mcc_delta.Field
 module Ecn = Mcc_delta.Ecn
 
 type receiver_spec = {
@@ -66,59 +65,44 @@ let sim t = t.sim
 let dumbbell t = t.db
 let agent t = t.agent
 
-(* Component transform for FLID payloads, installed on the SIGMA agent.
-   Marked copies get a fresh random component (ECN scrub); with
-   interface-specific keys enabled every other copy is XOR-padded and
-   the pad recorded so the agent can map the interface's lower keys back
-   to the sender's upper keys (paper Section 4.2).  The payload is
-   replaced, never mutated: multicast branches share it. *)
-let transform agent prng (link : Link.t) pkt =
+(* Component transform for FLID data, installed on the SIGMA agent.  It
+   rewrites the DELTA header words of the branch copy in place: the
+   copy is this interface's own, so the parent and sibling copies keep
+   their fields.  Marked copies get a fresh random component (ECN
+   scrub); with interface-specific keys enabled every other copy is
+   XOR-padded and the pad recorded so the agent can map the
+   interface's lower keys back to the sender's upper keys (paper
+   Section 4.2).  The decrease field of group [addr]'s packets opens
+   group [addr - 1] (consecutive addressing); a stable pad per
+   (interface, opened group, guarded slot) keeps every copy the
+   receiver sees consistent while making a lifted decrease key fail on
+   any other interface.  PRNG draws: the component's first, then the
+   decrease pad's (only when that pad is new). *)
+let[@hot] transform agent prng (link : Link.t) pkt =
   match pkt.Packet.payload with
-  | Flid.Data ({ delta = Some f; group = _; slot; _ } as d) ->
+  | Flid.Data { slot; _ } when pkt.Packet.delta_component <> Packet.no_field
+    -> (
       let width = Mcc_delta.Key.default_width in
       let iface_keys = Router_agent.interface_keys_enabled agent in
-      let addr =
-        match pkt.Packet.dst with
-        | Packet.Multicast addr -> Some addr
-        | Packet.Unicast _ -> None
-      in
-      let component =
-        if pkt.Packet.ecn then
-          Some (Ecn.scrubbed_component prng ~width f.Field.component)
-        else
-          match addr with
-          | Some addr when iface_keys ->
-              let pad = Mcc_delta.Key.nonce prng ~width in
-              Router_agent.note_pad agent ~link_id:link.Link.id ~group:addr
-                ~guarded_slot:(slot + 2) ~pad;
-              Some (Mcc_delta.Key.xor f.Field.component pad)
-          | Some _ | None -> None
-      in
-      let decrease =
-        match (addr, f.Field.decrease) with
-        | Some addr, Some dec when iface_keys ->
-            (* The decrease field of group [addr]'s packets opens group
-               [addr - 1] (consecutive addressing); a stable pad per
-               (interface, opened group, guarded slot) keeps every copy
-               the receiver sees consistent while making a lifted
-               decrease key fail on any other interface. *)
-            let pad =
-              Router_agent.decrease_pad agent ~link_id:link.Link.id
-                ~group:(addr - 1) ~guarded_slot:(slot + 2)
-                ~fresh:(fun () -> Mcc_delta.Key.nonce prng ~width)
-            in
-            Some (Some (Mcc_delta.Key.xor dec pad))
-        | _ -> None
-      in
-      if component <> None || decrease <> None then begin
-        let fresh =
-          Field.make
-            ~component:(Option.value component ~default:f.Field.component)
-            ~decrease:
-              (match decrease with Some x -> x | None -> f.Field.decrease)
-        in
-        pkt.Packet.payload <- Flid.Data { d with delta = Some fresh }
-      end
+      let component = pkt.Packet.delta_component in
+      if pkt.Packet.ecn then
+        pkt.Packet.delta_component <-
+          Ecn.scrubbed_component prng ~width component;
+      match pkt.Packet.dst with
+      | Packet.Multicast addr when iface_keys ->
+          if not pkt.Packet.ecn then begin
+            let pad = Mcc_delta.Key.nonce prng ~width in
+            Router_agent.note_pad agent ~link_id:link.Link.id ~group:addr
+              ~guarded_slot:(slot + 2) ~pad;
+            pkt.Packet.delta_component <- Mcc_delta.Key.xor component pad
+          end;
+          let dec = pkt.Packet.delta_decrease in
+          if dec <> Packet.no_field then
+            pkt.Packet.delta_decrease <-
+              Mcc_delta.Key.xor dec
+                (Router_agent.decrease_pad agent ~link_id:link.Link.id
+                   ~group:(addr - 1) ~guarded_slot:(slot + 2) prng ~width)
+      | Packet.Multicast _ | Packet.Unicast _ -> ())
   | _ -> ()
 
 (* Exported for builders over generated topologies (Mcc_workload): the

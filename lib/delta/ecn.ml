@@ -1,9 +1,5 @@
-let scrubbed_component prng ~width original =
-  let rec fresh () =
-    let c = Key.nonce prng ~width in
-    if c = original then fresh () else c
-  in
-  fresh ()
-
-let scrub prng ~width (field : Field.t) =
-  field.Field.component <- scrubbed_component prng ~width field.Field.component
+(* A top-level recursion rather than a local closure: the edge router
+   calls this on every marked copy it forwards. *)
+let[@hot] rec scrubbed_component prng ~width original =
+  let c = Key.nonce prng ~width in
+  if c = original then scrubbed_component prng ~width original else c

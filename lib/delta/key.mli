@@ -10,6 +10,10 @@ type t = int
 val default_width : int
 (** 16, the width used throughout the paper's evaluation. *)
 
+val none : t
+(** [-1]: marks an absent field.  Never a key, since keys are
+    non-negative [width]-bit values. *)
+
 val nonce : Mcc_util.Prng.t -> width:int -> t
 (** Fresh uniform [width]-bit value.  @raise Invalid_argument unless
     [0 < width <= 62]. *)
@@ -21,3 +25,8 @@ val xor_list : t list -> t
 
 val field_bytes : width:int -> int
 (** Wire size of one key-sized field, rounded up to whole bytes. *)
+
+val fields_bytes : width:int -> decrease:bool -> int
+(** Bytes the DELTA fields add to a data packet: one component field,
+    plus a decrease field on packets of every group above the minimal
+    one ([decrease]). *)

@@ -70,24 +70,23 @@ let next_component s ~group ~last =
 let decrease_field s ~group =
   let n = Array.length s.keys.top in
   if group < 1 || group > n then invalid_arg "Layered.decrease_field: group";
-  if group = 1 then None else Some s.keys.decrease.(group - 2)
+  if group = 1 then Key.none else s.keys.decrease.(group - 2)
 
 type receiver = {
   xors : Key.t array;  (* XOR of received component fields per group *)
-  dfields : Key.t option array;  (* decrease field seen per group *)
+  dfields : Key.t array;
+      (* decrease field seen per group; [Key.none] until one arrives *)
 }
 
 let receiver_create ~groups =
   if groups < 1 then invalid_arg "Layered.receiver_create";
-  { xors = Array.make groups 0; dfields = Array.make groups None }
+  { xors = Array.make groups 0; dfields = Array.make groups Key.none }
 
-let on_packet r ~group ~component ~decrease =
+let[@hot] on_packet r ~group ~component ~decrease =
   let n = Array.length r.xors in
   if group < 1 || group > n then invalid_arg "Layered.on_packet: group";
   r.xors.(group - 1) <- Key.xor r.xors.(group - 1) component;
-  match decrease with
-  | Some d -> r.dfields.(group - 1) <- Some d
-  | None -> ()
+  if decrease <> Key.none then r.dfields.(group - 1) <- decrease
 
 type outcome = { next_level : int; keys : (int * Key.t) list }
 
@@ -126,9 +125,8 @@ let slot_end r ~level ~congested ~lost ~upgrade_to =
       let rec prefix j acc =
         if j > g - 1 then List.rev acc
         else
-          match r.dfields.(j) (* group j+1, 0-indexed *) with
-          | Some d -> prefix (j + 1) ((j, d) :: acc)
-          | None -> List.rev acc
+          let d = r.dfields.(j) (* group j+1, 0-indexed *) in
+          if d = Key.none then List.rev acc else prefix (j + 1) ((j, d) :: acc)
       in
       let keys = prefix 1 [] in
       { next_level = List.length keys; keys }

@@ -52,8 +52,9 @@ val next_component : sender -> group:int -> last:bool -> Key.t
     last.  @raise Invalid_argument on an out-of-range group or a
     component requested after [last]. *)
 
-val decrease_field : sender -> group:int -> Key.t option
-(** Decrease field [d_g] for packets of [group]; [None] for group 1. *)
+val decrease_field : sender -> group:int -> Key.t
+(** Decrease field [d_g] for packets of [group]; {!Key.none} for
+    group 1. *)
 
 (** {1 Receiver} *)
 
@@ -63,8 +64,9 @@ val receiver_create : groups:int -> receiver
 (** [groups] = N, the session size. *)
 
 val on_packet :
-  receiver -> group:int -> component:Key.t -> decrease:Key.t option -> unit
-(** Accumulate the fields of one received packet. *)
+  receiver -> group:int -> component:Key.t -> decrease:Key.t -> unit
+(** Accumulate the fields of one received packet; [decrease] is
+    {!Key.none} on packets that carry no decrease field. *)
 
 type outcome = {
   next_level : int;

@@ -66,24 +66,22 @@ let next_component s ~group ~last =
 let decrease_field s ~group =
   let n = Array.length s.keys.top in
   if group < 1 || group > n then invalid_arg "Replicated.decrease_field: group";
-  if group = 1 then None else Some s.keys.decrease.(group - 2)
+  if group = 1 then Key.none else s.keys.decrease.(group - 2)
 
 type receiver = {
   xors : Key.t array;
-  dfields : Key.t option array;
+  dfields : Key.t array;  (* [Key.none] until a decrease field arrives *)
 }
 
 let receiver_create ~groups =
   if groups < 1 then invalid_arg "Replicated.receiver_create";
-  { xors = Array.make groups 0; dfields = Array.make groups None }
+  { xors = Array.make groups 0; dfields = Array.make groups Key.none }
 
-let on_packet r ~group ~component ~decrease =
+let[@hot] on_packet r ~group ~component ~decrease =
   let n = Array.length r.xors in
   if group < 1 || group > n then invalid_arg "Replicated.on_packet: group";
   r.xors.(group - 1) <- Key.xor r.xors.(group - 1) component;
-  match decrease with
-  | Some d -> r.dfields.(group - 1) <- Some d
-  | None -> ()
+  if decrease <> Key.none then r.dfields.(group - 1) <- decrease
 
 type outcome = { next_group : int; key : Key.t option }
 
@@ -94,9 +92,9 @@ let slot_end r ~group ~congested ~upgrade_to =
   if congested then begin
     if g = 1 then { next_group = 0; key = None }
     else
-      match r.dfields.(g - 1) with
-      | Some d -> { next_group = g - 1; key = Some d }
-      | None -> { next_group = 0; key = None }
+      let d = r.dfields.(g - 1) in
+      if d = Key.none then { next_group = 0; key = None }
+      else { next_group = g - 1; key = Some d }
   end
   else begin
     let top = r.xors.(g - 1) in

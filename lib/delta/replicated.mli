@@ -28,14 +28,15 @@ val sender_create :
 
 val sender_keys : sender -> keys
 val next_component : sender -> group:int -> last:bool -> Key.t
-val decrease_field : sender -> group:int -> Key.t option
+val decrease_field : sender -> group:int -> Key.t
 
 type receiver
 
 val receiver_create : groups:int -> receiver
 
 val on_packet :
-  receiver -> group:int -> component:Key.t -> decrease:Key.t option -> unit
+  receiver -> group:int -> component:Key.t -> decrease:Key.t -> unit
+(** As {!Layered.on_packet}: [decrease] is {!Key.none} when absent. *)
 
 type outcome = { next_group : int; key : Key.t option }
 (** [next_group = 0] means the receiver left the session. *)

@@ -171,6 +171,7 @@ let[@hot] step t =
   let h = t.queue.Scheduler.pop_into t.time_cell t.sentinel in
   if h == t.sentinel then false
   else begin
+    (* lint: allow hot-alloc — one box per event; a flat clock would box on every Sim.now read *)
     t.clock <- !(t.time_cell);
     if not h.cancelled then begin
       t.executed <- t.executed + 1;

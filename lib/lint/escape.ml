@@ -46,7 +46,14 @@ let rec mutable_reason ~local_decls depth ty =
         else if is "Queue.t" then Some "Queue.t"
         else if is "Stack.t" then Some "Stack.t"
         else begin
-          match Hashtbl.find_opt local_decls (Path.last p) with
+          (* Only an unqualified path names a same-unit type: [Float.t]
+             is not this unit's [t]. *)
+          let local =
+            match p with
+            | Path.Pident id -> Hashtbl.find_opt local_decls (Ident.name id)
+            | _ -> None
+          in
+          match local with
           | Some true ->
               Some
                 (Printf.sprintf "record with mutable fields (%s)" (Path.last p))

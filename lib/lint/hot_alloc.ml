@@ -14,14 +14,22 @@
    - partial application, detected by the application's *result* type
      being an arrow (erased optional arguments show up as missing
      arguments in the Typedtree, so counting arguments would
-     false-positive on [Metrics.incr c]);
+     false-positive on [Metrics.incr c]) — unless the callee is a
+     named value whose declared type takes no more arguments than
+     were given, so [Hashtbl.find handlers k] returning a stored
+     function is a full application;
    - calls to known allocating stdlib entry points (Array.make,
-     Printf.sprintf, List.map, ...).
+     Printf.sprintf, List.map, ...);
+   - a float stored into a mutable [float] field of a record that is
+     not all-float ([r.f <- x]): such a field holds a pointer, so the
+     store boxes a freshly computed float.  An all-float record (a
+     [float ref] included) is stored flat and is the fix.
 
-   Out of scope (documented limitations): float boxing, closures the
-   compiler eliminates by inlining, and allocation hidden behind
-   callees outside the known list.  [assert] bodies are skipped —
-   they are debug-build-only. *)
+   Out of scope (documented limitations): other float boxing (float
+   arguments and results of calls the compiler does not inline),
+   closures the compiler eliminates by inlining, and allocation hidden
+   behind callees outside the known list.  [assert] bodies are skipped
+   — they are debug-build-only. *)
 
 open Typedtree
 
@@ -74,6 +82,33 @@ let rec is_arrow ty =
   | Types.Tarrow _ -> true
   | Types.Tpoly (ty, _) -> is_arrow ty
   | _ -> false
+
+(* Parameters in a declared type's arrow spine; an abbreviation or type
+   variable in result position ends the spine. *)
+let rec arity ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, _, res, _) -> 1 + arity res
+  | Types.Tpoly (ty, _) -> arity ty
+  | _ -> 0
+
+let partial_application (e : expression) args =
+  is_arrow e.exp_type
+  &&
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (_, _, vd); _ }, _) ->
+      arity vd.Types.val_type > List.length args
+  | _ -> true
+
+let is_float ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
+  | _ -> false
+
+(* A float field of a record stored flat (all fields float) is unboxed;
+   in any other record it is a pointer to a boxed float. *)
+let boxed_float_field (lbl : Types.label_description) =
+  is_float lbl.lbl_arg
+  && match lbl.lbl_repres with Types.Record_float -> false | _ -> true
 
 (* Strip the curried-parameter spine of a [@hot] binding: directly
    nested single-case unguarded Texp_functions are the parameters of
@@ -132,19 +167,26 @@ let check ~path str =
       | Texp_lazy _ ->
           emit ~fname e.exp_loc "lazy-block allocation";
           default.expr it e
-      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) ->
+      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
           let name = Path.name p in
           (match List.find_opt (path_is name) allocating_callees with
           | Some callee ->
               emit ~fname e.exp_loc
                 (Printf.sprintf "call to allocating %s" callee)
           | None ->
-              if is_arrow e.exp_type then
+              if partial_application e args then
                 emit ~fname e.exp_loc "partial application (allocates a closure)");
           default.expr it e
-      | Texp_apply _ ->
-          if is_arrow e.exp_type then
+      | Texp_apply (_, args) ->
+          if partial_application e args then
             emit ~fname e.exp_loc "partial application (allocates a closure)";
+          default.expr it e
+      | Texp_setfield (_, _, lbl, _) when boxed_float_field lbl ->
+          emit ~fname e.exp_loc
+            (Printf.sprintf
+               "float stored into field %s of a record that is not all-float \
+                (boxes the float)"
+               lbl.lbl_name);
           default.expr it e
       | _ -> default.expr it e
     in

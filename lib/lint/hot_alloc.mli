@@ -5,10 +5,14 @@
     tuple, record, array, constructor, polymorphic-variant and lazy
     construction, partial applications (detected by the application's
     result type being an arrow, which survives optional-argument
-    erasure), and calls to known allocating stdlib entry points.
-    Nested closure bodies and [assert] payloads are not walked.  Known
-    blind spots: float boxing and allocation hidden inside callees off
-    the known list. *)
+    erasure, and is not flagged when the named callee's declared type
+    takes no more arguments than were given), calls to known allocating
+    stdlib entry points, and a float stored into a mutable float field
+    of a record that is not all-float (the store boxes it).  Nested
+    closure bodies and [assert] payloads are not walked.  Known blind
+    spots: other float boxing (arguments and results of calls that are
+    not inlined) and allocation hidden inside callees off the known
+    list. *)
 
 val check : path:string -> Typedtree.structure -> Kernel.finding list
 (** [check ~path str] — [path] is used verbatim in findings. *)

@@ -8,7 +8,6 @@ module Meter = Mcc_util.Meter
 module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
-module Field = Mcc_delta.Field
 module Layered = Mcc_delta.Layered
 module Tuple = Mcc_sigma.Tuple
 module Special = Mcc_sigma.Special
@@ -72,7 +71,6 @@ type Payload.t +=
       seq : int;
       last : bool;
       upgrade_mask : int;
-      delta : Field.t option;
     }
 
 let () =
@@ -111,6 +109,16 @@ type sender = {
   s_stats : sender_stats;
   mutable s_tick : Sim.handle option;
   mutable s_stopped : bool;
+  (* Emission state of the slot in progress.  The last packet of slot k
+     is due strictly before tick k+1 (see [sender_slot_tick_body]), so
+     one slot's state per sender is enough. *)
+  mutable s_cur_slot : int;
+  mutable s_cur_mask : int;
+  mutable s_cur_delta : Layered.sender option;
+  s_count : int array;  (* per group: packets in the current slot *)
+  s_next_seq : int array;  (* per group: seq of the next packet due *)
+  s_emit : (unit -> unit) array;
+      (* per group, built once: emits the group's next packet *)
 }
 
 let sender_stats s = s.s_stats
@@ -130,22 +138,24 @@ let upgrade_mask config slot =
   done;
   !mask
 
-let emit_packet s ~group ~slot ~seq ~last ~mask ~delta () =
+(* Not [@hot]: it builds the packet, which originating one must do. *)
+let emit_packet s ~group ~seq ~last ~component ~decrease =
   if not s.s_stopped then begin
     let config = s.s_config in
     let field_bytes =
-      match delta with
-      | Some f -> Field.wire_bytes ~width:config.width f
-      | None -> 0
+      if component = Key.none then 0
+      else Key.fields_bytes ~width:config.width ~decrease:(decrease <> Key.none)
     in
     let pkt =
       Packet.make ~src:s.s_node.Node.id
         ~dst:(Packet.Multicast (group_addr config group))
         ~size:(config.packet_size + field_bytes)
         (Data
-           { session = config.id; group; slot; seq; last; upgrade_mask = mask;
-             delta })
+           { session = config.id; group; slot = s.s_cur_slot; seq; last;
+             upgrade_mask = s.s_cur_mask })
     in
+    pkt.Packet.delta_component <- component;
+    pkt.Packet.delta_decrease <- decrease;
     s.s_stats.data_bits <- s.s_stats.data_bits + (config.packet_size * 8);
     s.s_stats.delta_bits <- s.s_stats.delta_bits + (field_bytes * 8);
     Mcc_obs.Lineage.set_origin pkt.Packet.lineage ~session:config.id
@@ -154,11 +164,32 @@ let emit_packet s ~group ~slot ~seq ~last ~mask ~delta () =
     Node.originate s.s_node pkt
   end
 
+(* Group [g]'s emitter: the tick posts it once per packet of the slot,
+   and each firing emits the group's next packet.  Its DELTA fields are
+   drawn at the emission instant, whether or not the sender has been
+   stopped since, so the key PRNG advances exactly as the slot planned. *)
+let[@hot] emit_next s g =
+  let seq = s.s_next_seq.(g - 1) in
+  if seq >= s.s_count.(g - 1) then
+    invalid_arg "Flid: emission past the end of the slot";
+  s.s_next_seq.(g - 1) <- seq + 1;
+  let last = seq = s.s_count.(g - 1) - 1 in
+  match s.s_cur_delta with
+  | Some st ->
+      let decrease = Layered.decrease_field st ~group:g in
+      let component = Layered.next_component st ~group:g ~last in
+      emit_packet s ~group:g ~seq ~last ~component ~decrease
+  | None ->
+      emit_packet s ~group:g ~seq ~last ~component:Key.none ~decrease:Key.none
+
 (* One tick per slot: decide the slot's upgrade authorizations, draw the
    DELTA key material guarding slot+2, distribute the tuples through
-   SIGMA, and schedule every data packet of the slot.  Each packet's
-   fields are computed at its own emission instant from state captured
-   here, so slot boundaries involve no shared mutable state. *)
+   SIGMA, and schedule every data packet of the slot through the
+   groups' emitters.  Each packet's fields are computed at its own
+   emission instant.  The last packet of group g leaves at
+   [phase + (count-1) * spacing = (count - 1 + g/(n+1)) * spacing],
+   strictly inside the slot, so every emission of slot k precedes tick
+   k+1 and the tick may overwrite the sender's slot state. *)
 let sender_slot_tick_body s () =
   let config = s.s_config in
   let sim = Topology.sim s.s_topo in
@@ -205,6 +236,9 @@ let sender_slot_tick_body s () =
         s.s_stats.fec_expansion <- stats.Special.expansion;
         Some st
   in
+  s.s_cur_slot <- slot;
+  s.s_cur_mask <- mask;
+  s.s_cur_delta <- delta_state;
   for g = 1 to n do
     let rate = Layering.layer_rate config.layering ~group:g in
     s.s_credits.(g - 1) <-
@@ -215,22 +249,12 @@ let sender_slot_tick_body s () =
     let spacing = config.slot_duration /. float_of_int count in
     (* De-phase groups so slot starts are not synchronized bursts. *)
     let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
+    s.s_count.(g - 1) <- count;
+    s.s_next_seq.(g - 1) <- 0;
     for i = 0 to count - 1 do
-      let seq = i in
-      let last = i = count - 1 in
-      let delta () =
-        match delta_state with
-        | Some st ->
-            Some
-              (Field.make
-                 ~component:(Layered.next_component st ~group:g ~last)
-                 ~decrease:(Layered.decrease_field st ~group:g))
-        | None -> None
-      in
       Sim.post sim
-           ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-           (fun () ->
-             emit_packet s ~group:g ~slot ~seq ~last ~mask ~delta:(delta ()) ())
+        ~at:(tick_now +. phase +. (float_of_int i *. spacing))
+        s.s_emit.(g - 1)
     done
   done
 
@@ -267,8 +291,17 @@ let sender_start ?(at = 0.) topo ~node ~prng config =
         };
       s_tick = None;
       s_stopped = false;
+      s_cur_slot = 0;
+      s_cur_mask = 0;
+      s_cur_delta = None;
+      s_count = Array.make n 0;
+      s_next_seq = Array.make n 0;
+      s_emit = Array.make n ignore;
     }
   in
+  for g = 1 to n do
+    s.s_emit.(g - 1) <- (fun () -> emit_next s g)
+  done;
   s.s_tick <-
     Some (Sim.every sim ~start:at ~period:config.slot_duration (sender_slot_tick s));
   s
@@ -306,7 +339,7 @@ type behavior = Well_behaved | Inflate_after of float | Adversarial of adversary
 
 type group_slot_rec = {
   mutable count : int;
-  mutable last_seq : int option;
+  mutable last_seq : int;  (** seq of the flagged last packet; -1 until seen *)
   mutable saw_last : bool;
   mutable marked : int;
       (** ECN-marked arrivals: trusted edge routers scrub their DELTA
@@ -331,7 +364,9 @@ type receiver = {
   mutable r_level : int;
   r_active_since : int array;  (* first slot each group is evaluated for *)
   r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
+  r_base : float ref;
+      (* estimated start of slot 0; a float ref so updating it per
+         packet stores an unboxed float *)
   mutable r_synced : bool;
   mutable r_next_eval : int;
   r_highest : int array;  (* per group: highest slot seen (self-clocking) *)
@@ -370,25 +405,27 @@ let receiver_leave r =
     r.r_stopped <- true
   end
 
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let n = r.r_config.layering.Layering.groups in
-      let rec_ =
-        {
-          per_group =
-            Array.init n (fun _ ->
-                { count = 0; last_seq = None; saw_last = false; marked = 0 });
-          delta_recv =
-            (match r.r_config.mode with
-            | Robust -> Some (Layered.receiver_create ~groups:n)
-            | Plain -> None);
-          mask = 0;
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
+let new_slot_rec r slot =
+  let n = r.r_config.layering.Layering.groups in
+  let rec_ =
+    {
+      per_group =
+        Array.init n (fun _ ->
+            { count = 0; last_seq = -1; saw_last = false; marked = 0 });
+      delta_recv =
+        (match r.r_config.mode with
+        | Robust -> Some (Layered.receiver_create ~groups:n)
+        | Plain -> None);
+      mask = 0;
+    }
+  in
+  Hashtbl.replace r.r_slots slot rec_;
+  rec_
+
+let[@hot] slot_rec r slot =
+  match Hashtbl.find r.r_slots slot with
+  | exception Not_found -> new_slot_rec r slot
+  | rec_ -> rec_
 
 let record_level r =
   let time = Sim.now (Topology.sim r.r_topo) in
@@ -405,20 +442,20 @@ let record_level r =
 (* Largest level e <= r_level such that every group 1..e has been
    subscribed since before slot [slot]: partial slots of freshly joined
    groups must not count as losses. *)
-let effective_level r slot =
-  let rec climb e =
-    if e >= r.r_level then r.r_level
-    else if r.r_active_since.(e) <= slot then climb (e + 1)
-    else e
-  in
-  if r.r_active_since.(0) <= slot then climb 1 else 0
+let[@hot] rec climb r slot e =
+  if e >= r.r_level then r.r_level
+  else if r.r_active_since.(e) <= slot then climb r slot (e + 1)
+  else e
+
+let[@hot] effective_level r slot =
+  if r.r_active_since.(0) <= slot then climb r slot 1 else 0
 
 let group_lost rec_ g =
   let gs = rec_.per_group.(g - 1) in
   if gs.count = 0 then true
   else if gs.marked > 0 then true
   else if not gs.saw_last then true
-  else match gs.last_seq with Some l -> gs.count < l + 1 | None -> true
+  else gs.last_seq < 0 || gs.count < gs.last_seq + 1
 
 let random_key r = Key.nonce r.r_prng ~width:r.r_config.width
 
@@ -636,23 +673,21 @@ let eval_slot r slot =
    packet of a later slot did: the path is FIFO, so nothing of the slot
    can still be in flight.  A slot is ready for evaluation when every
    group of the effective subscription closed it. *)
-let slot_closed r slot =
+let[@hot] rec groups_closed r slot effective g =
+  if g > effective then true
+  else
+    let closed =
+      r.r_highest.(g - 1) > slot
+      ||
+      match Hashtbl.find r.r_slots slot with
+      | exception Not_found -> false
+      | rec_ -> rec_.per_group.(g - 1).saw_last
+    in
+    closed && groups_closed r slot effective (g + 1)
+
+let[@hot] slot_closed r slot =
   let effective = effective_level r slot in
-  effective >= 1
-  &&
-  let rec check g =
-    if g > effective then true
-    else
-      let closed =
-        r.r_highest.(g - 1) > slot
-        ||
-        match Hashtbl.find_opt r.r_slots slot with
-        | Some rec_ -> rec_.per_group.(g - 1).saw_last
-        | None -> false
-      in
-      closed && check (g + 1)
-  in
-  check 1
+  effective >= 1 && groups_closed r slot effective 1
 
 let rec try_eval r =
   if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
@@ -672,7 +707,7 @@ let rec schedule_eval r =
     let config = r.r_config in
     let slot = r.r_next_eval in
     let at =
-      r.r_base
+      !(r.r_base)
       +. (float_of_int (slot + 1) *. config.slot_duration)
       +. (config.processing_margin *. config.slot_duration)
     in
@@ -688,9 +723,9 @@ let rec schedule_eval r =
            end)
   end
 
-let on_data r pkt =
+let[@hot] on_data r pkt =
   match pkt.Packet.payload with
-  | Data { session; group; slot; seq; last; upgrade_mask; delta }
+  | Data { session; group; slot; seq; last; upgrade_mask }
     when session = r.r_config.id ->
       let now = Sim.now (Topology.sim r.r_topo) in
       Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
@@ -699,14 +734,14 @@ let on_data r pkt =
       in
       if not r.r_synced then begin
         r.r_synced <- true;
-        r.r_base <- candidate_base;
+        r.r_base := candidate_base;
         r.r_next_eval <- slot + 1;
         if r.r_active_since.(0) = max_int then
           r.r_active_since.(0) <- slot + 1;
         schedule_eval r
       end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      r.r_highest.(group - 1) <- max r.r_highest.(group - 1) slot;
+      else if candidate_base < !(r.r_base) then r.r_base := candidate_base;
+      r.r_highest.(group - 1) <- Int.max r.r_highest.(group - 1) slot;
       if slot >= r.r_next_eval then begin
         let rec_ = slot_rec r slot in
         let gs = rec_.per_group.(group - 1) in
@@ -714,14 +749,14 @@ let on_data r pkt =
         if pkt.Packet.ecn then gs.marked <- gs.marked + 1;
         if last then begin
           gs.saw_last <- true;
-          gs.last_seq <- Some seq
+          gs.last_seq <- seq
         end;
         rec_.mask <- rec_.mask lor upgrade_mask;
-        (match (rec_.delta_recv, delta) with
-        | Some dr, Some f ->
-            Layered.on_packet dr ~group ~component:f.Field.component
-              ~decrease:f.Field.decrease
-        | _, _ -> ())
+        match rec_.delta_recv with
+        | Some dr when pkt.Packet.delta_component <> Packet.no_field ->
+            Layered.on_packet dr ~group ~component:pkt.Packet.delta_component
+              ~decrease:pkt.Packet.delta_decrease
+        | Some _ | None -> ()
       end;
       try_eval r
   | _ -> ()
@@ -749,7 +784,7 @@ let receiver_start ?(at = 0.) ?(behavior = Well_behaved) topo ~host ~prng
       r_level = 1;
       r_active_since = Array.make n max_int;
       r_slots = Hashtbl.create 8;
-      r_base = infinity;
+      r_base = ref infinity;
       r_synced = false;
       r_next_eval = 0;
       r_highest = Array.make n (-1);

@@ -76,8 +76,11 @@ type Mcc_net.Payload.t +=
       seq : int;  (** per-group sequence within the slot, from 0 *)
       last : bool;  (** group's final packet of the slot *)
       upgrade_mask : int;  (** bit g-1 set: upgrade to level g authorized *)
-      delta : Mcc_delta.Field.t option;  (** present in [Robust] mode *)
     }
+(** In [Robust] mode the DELTA fields travel in the packet's header
+    words ({!Mcc_net.Packet.t}'s [delta_component] and
+    [delta_decrease]), not in the payload, so an edge router rewrites a
+    branch copy's fields without allocating a new payload. *)
 
 (** {1 Sender} *)
 

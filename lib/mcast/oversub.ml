@@ -8,7 +8,6 @@ module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Layered = Mcc_delta.Layered
-module Field = Mcc_delta.Field
 module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
 module Tracer = Mcc_obs.Tracer
@@ -63,7 +62,7 @@ let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
 
 type group_slot_rec = {
   mutable count : int;
-  mutable last_seq : int option;
+  mutable last_seq : int;  (** seq of the flagged last packet; -1 until seen *)
   mutable saw_last : bool;
   mutable marked : int;  (** ECN-marked arrivals *)
 }
@@ -86,7 +85,7 @@ type receiver = {
   mutable r_exp : int;  (** consecutive uncongested slots (probe exponent) *)
   r_active_since : int array;
   r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
+  r_base : float ref;  (* estimated start of slot 0, stored unboxed *)
   mutable r_synced : bool;
   mutable r_next_eval : int;
   r_highest : int array;
@@ -120,25 +119,27 @@ let receiver_leave r =
     r.r_stopped <- true
   end
 
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let n = r.r_config.flid.Flid.layering.Layering.groups in
-      let rec_ =
-        {
-          per_group =
-            Array.init n (fun _ ->
-                { count = 0; last_seq = None; saw_last = false; marked = 0 });
-          delta_recv =
-            (match r.r_config.flid.Flid.mode with
-            | Flid.Robust -> Some (Layered.receiver_create ~groups:n)
-            | Flid.Plain -> None);
-          mask = 0;
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
+let new_slot_rec r slot =
+  let n = r.r_config.flid.Flid.layering.Layering.groups in
+  let rec_ =
+    {
+      per_group =
+        Array.init n (fun _ ->
+            { count = 0; last_seq = -1; saw_last = false; marked = 0 });
+      delta_recv =
+        (match r.r_config.flid.Flid.mode with
+        | Flid.Robust -> Some (Layered.receiver_create ~groups:n)
+        | Flid.Plain -> None);
+      mask = 0;
+    }
+  in
+  Hashtbl.replace r.r_slots slot rec_;
+  rec_
+
+let[@hot] slot_rec r slot =
+  match Hashtbl.find r.r_slots slot with
+  | exception Not_found -> new_slot_rec r slot
+  | rec_ -> rec_
 
 let record_level r =
   let time = Sim.now (Topology.sim r.r_topo) in
@@ -153,13 +154,13 @@ let record_level r =
           ("ewma", Json.Float r.r_ewma);
         ])
 
-let effective_level r slot =
-  let rec climb e =
-    if e >= r.r_level then r.r_level
-    else if r.r_active_since.(e) <= slot then climb (e + 1)
-    else e
-  in
-  if r.r_active_since.(0) <= slot then climb 1 else 0
+let[@hot] rec climb r slot e =
+  if e >= r.r_level then r.r_level
+  else if r.r_active_since.(e) <= slot then climb r slot (e + 1)
+  else e
+
+let[@hot] effective_level r slot =
+  if r.r_active_since.(0) <= slot then climb r slot 1 else 0
 
 (* Loss is missing packets only: a marked packet arrived, so it counts
    toward the mark fraction, not toward loss. *)
@@ -167,7 +168,7 @@ let group_lost rec_ g =
   let gs = rec_.per_group.(g - 1) in
   if gs.count = 0 then true
   else if not gs.saw_last then true
-  else match gs.last_seq with Some l -> gs.count < l + 1 | None -> true
+  else gs.last_seq < 0 || gs.count < gs.last_seq + 1
 
 (* The control law (per slot): EWMA of the slot's ECN mark fraction,
    with packet loss saturating the congestion signal.  Above the target,
@@ -344,23 +345,21 @@ let eval_slot r slot =
   in
   List.iter (Hashtbl.remove r.r_slots) stale
 
-let slot_closed r slot =
+let[@hot] rec groups_closed r slot effective g =
+  if g > effective then true
+  else
+    let closed =
+      r.r_highest.(g - 1) > slot
+      ||
+      match Hashtbl.find r.r_slots slot with
+      | exception Not_found -> false
+      | rec_ -> rec_.per_group.(g - 1).saw_last
+    in
+    closed && groups_closed r slot effective (g + 1)
+
+let[@hot] slot_closed r slot =
   let effective = effective_level r slot in
-  effective >= 1
-  &&
-  let rec check g =
-    if g > effective then true
-    else
-      let closed =
-        r.r_highest.(g - 1) > slot
-        ||
-        match Hashtbl.find_opt r.r_slots slot with
-        | Some rec_ -> rec_.per_group.(g - 1).saw_last
-        | None -> false
-      in
-      closed && check (g + 1)
-  in
-  check 1
+  effective >= 1 && groups_closed r slot effective 1
 
 let rec try_eval r =
   if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
@@ -376,7 +375,7 @@ let rec schedule_eval r =
     let config = r.r_config.flid in
     let slot = r.r_next_eval in
     let at =
-      r.r_base
+      !(r.r_base)
       +. (float_of_int (slot + 1) *. config.Flid.slot_duration)
       +. (config.Flid.processing_margin *. config.Flid.slot_duration)
     in
@@ -392,9 +391,9 @@ let rec schedule_eval r =
         end)
   end
 
-let on_data r pkt =
+let[@hot] on_data r pkt =
   match pkt.Packet.payload with
-  | Flid.Data { session; group; slot; seq; last; upgrade_mask; delta }
+  | Flid.Data { session; group; slot; seq; last; upgrade_mask }
     when session = r.r_config.flid.Flid.id ->
       let now = Sim.now (Topology.sim r.r_topo) in
       Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
@@ -403,14 +402,14 @@ let on_data r pkt =
       in
       if not r.r_synced then begin
         r.r_synced <- true;
-        r.r_base <- candidate_base;
+        r.r_base := candidate_base;
         r.r_next_eval <- slot + 1;
         if r.r_active_since.(0) = max_int then
           r.r_active_since.(0) <- slot + 1;
         schedule_eval r
       end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      r.r_highest.(group - 1) <- max r.r_highest.(group - 1) slot;
+      else if candidate_base < !(r.r_base) then r.r_base := candidate_base;
+      r.r_highest.(group - 1) <- Int.max r.r_highest.(group - 1) slot;
       if slot >= r.r_next_eval then begin
         let rec_ = slot_rec r slot in
         let gs = rec_.per_group.(group - 1) in
@@ -418,14 +417,14 @@ let on_data r pkt =
         if pkt.Packet.ecn then gs.marked <- gs.marked + 1;
         if last then begin
           gs.saw_last <- true;
-          gs.last_seq <- Some seq
+          gs.last_seq <- seq
         end;
         rec_.mask <- rec_.mask lor upgrade_mask;
-        (match (rec_.delta_recv, delta) with
-        | Some dr, Some f ->
-            Layered.on_packet dr ~group ~component:f.Field.component
-              ~decrease:f.Field.decrease
-        | _, _ -> ())
+        match rec_.delta_recv with
+        | Some dr when pkt.Packet.delta_component <> Packet.no_field ->
+            Layered.on_packet dr ~group ~component:pkt.Packet.delta_component
+              ~decrease:pkt.Packet.delta_decrease
+        | Some _ | None -> ()
       end;
       try_eval r
   | _ -> ()
@@ -448,7 +447,7 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
       r_exp = 0;
       r_active_since = Array.make n max_int;
       r_slots = Hashtbl.create 8;
-      r_base = infinity;
+      r_base = ref infinity;
       r_synced = false;
       r_next_eval = 0;
       r_highest = Array.make n (-1);

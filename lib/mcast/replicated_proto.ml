@@ -8,7 +8,6 @@ module Meter = Mcc_util.Meter
 module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
-module Field = Mcc_delta.Field
 module Replicated = Mcc_delta.Replicated
 module Tuple = Mcc_sigma.Tuple
 module Special = Mcc_sigma.Special
@@ -62,7 +61,6 @@ type Payload.t +=
       seq : int;
       last : bool;
       upgrade_mask : int;
-      delta : Field.t option;
     }
 
 let () =
@@ -105,21 +103,23 @@ let upgrade_mask config slot =
   done;
   !mask
 
-let emit s ~group ~slot ~seq ~last ~mask ~delta () =
+let emit s ~group ~slot ~seq ~last ~mask ~component ~decrease =
   if not s.s_stopped then begin
     let config = s.s_config in
     let field_bytes =
-      match delta with
-      | Some f -> Field.wire_bytes ~width:config.width f
-      | None -> 0
+      if component = Key.none then 0
+      else Key.fields_bytes ~width:config.width ~decrease:(decrease <> Key.none)
     in
-    Node.originate s.s_node
-      (Packet.make ~src:s.s_node.Node.id
-         ~dst:(Packet.Multicast (group_addr config group))
-         ~size:(config.packet_size + field_bytes)
-         (Rep_data
-            { session = config.id; group; slot; seq; last; upgrade_mask = mask;
-              delta }))
+    let pkt =
+      Packet.make ~src:s.s_node.Node.id
+        ~dst:(Packet.Multicast (group_addr config group))
+        ~size:(config.packet_size + field_bytes)
+        (Rep_data
+           { session = config.id; group; slot; seq; last; upgrade_mask = mask })
+    in
+    pkt.Packet.delta_component <- component;
+    pkt.Packet.delta_decrease <- decrease;
+    Node.originate s.s_node pkt
   end
 
 let sender_slot_tick s () =
@@ -167,18 +167,18 @@ let sender_slot_tick s () =
     let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
     for i = 0 to count - 1 do
       let last = i = count - 1 in
-      let delta () =
-        match delta_state with
-        | Some st ->
-            Some
-              (Field.make
-                 ~component:(Replicated.next_component st ~group:g ~last)
-                 ~decrease:(Replicated.decrease_field st ~group:g))
-        | None -> None
-      in
       Sim.post sim
-           ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-           (fun () -> emit s ~group:g ~slot ~seq:i ~last ~mask ~delta:(delta ()) ())
+        ~at:(tick_now +. phase +. (float_of_int i *. spacing))
+        (fun () ->
+          (* The fields are drawn at the emission instant. *)
+          match delta_state with
+          | Some st ->
+              let decrease = Replicated.decrease_field st ~group:g in
+              let component = Replicated.next_component st ~group:g ~last in
+              emit s ~group:g ~slot ~seq:i ~last ~mask ~component ~decrease
+          | None ->
+              emit s ~group:g ~slot ~seq:i ~last ~mask ~component:Key.none
+                ~decrease:Key.none)
     done
   done
 
@@ -449,7 +449,7 @@ let rec schedule_eval r =
 
 let on_data r pkt =
   match pkt.Packet.payload with
-  | Rep_data { session; group; slot; seq; last; upgrade_mask; delta }
+  | Rep_data { session; group; slot; seq; last; upgrade_mask }
     when session = r.r_config.id ->
       let now = Sim.now (Topology.sim r.r_topo) in
       Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
@@ -479,11 +479,11 @@ let on_data r pkt =
           end
         end;
         rec_.mask <- rec_.mask lor upgrade_mask;
-        match (rec_.delta_recv, delta) with
-        | Some dr, Some f ->
-            Replicated.on_packet dr ~group ~component:f.Field.component
-              ~decrease:f.Field.decrease
-        | _, _ -> ()
+        match rec_.delta_recv with
+        | Some dr when pkt.Packet.delta_component <> Packet.no_field ->
+            Replicated.on_packet dr ~group ~component:pkt.Packet.delta_component
+              ~decrease:pkt.Packet.delta_decrease
+        | Some _ | None -> ()
       end;
       try_eval r
   | _ -> ()

@@ -46,8 +46,9 @@ type Mcc_net.Payload.t +=
       seq : int;
       last : bool;
       upgrade_mask : int;
-      delta : Mcc_delta.Field.t option;
     }
+(** As {!Flid.Data}: in [Robust] mode the DELTA fields travel in the
+    packet's header words. *)
 
 type sender
 

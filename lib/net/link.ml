@@ -56,10 +56,14 @@ type t = {
   mutable red : Red.t option;
   sim : Sim.t;
   queue : Packet.t Pool.Fifo.t;
+  wire : Packet.t Pool.Fifo.t;
+  pipe : Packet.t Pool.Fifo.t;
   mutable queued_bytes : int;
   mutable busy : bool;
   mutable rev : t option;
   mutable deliver : Packet.t -> unit;
+  mutable tx_done : unit -> unit;
+  mutable arrive : unit -> unit;
   mutable on_event : (event -> Packet.t -> unit) option;
   mutable tx_packets : int;
   mutable tx_bytes : int;
@@ -71,57 +75,6 @@ type t = {
   mutable mark_bytes : int;
   metrics : metrics;
 }
-
-let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
-    ?buffer_packets ?ecn_threshold_bytes () =
-  if rate_bps <= 0. then invalid_arg "Link.create: rate_bps <= 0";
-  if delay_s < 0. then invalid_arg "Link.create: negative delay";
-  if buffer_bytes < 0 then invalid_arg "Link.create: negative buffer";
-  let t =
-    {
-      id;
-      src;
-      dst;
-      dst_kind;
-      rate_bps;
-      delay_s;
-      buffer_bytes;
-      buffer_packets;
-      ecn_threshold_bytes;
-      red = None;
-      sim;
-      (* Ring buffer, not Stdlib.Queue: the FIFO is entirely internal to
-         the link, and the ring allocates nothing per enqueue. *)
-      queue = Pool.Fifo.create ();
-      queued_bytes = 0;
-      busy = false;
-      rev = None;
-      deliver = (fun _ -> ());
-      on_event = None;
-      tx_packets = 0;
-      tx_bytes = 0;
-      enqueues = 0;
-      enqueue_bytes = 0;
-      drops = 0;
-      drop_bytes = 0;
-      marks = 0;
-      mark_bytes = 0;
-      metrics = link_metrics ();
-    }
-  in
-  (* Per-link time series (no-ops unless the run enabled sampling):
-     instantaneous queue depth plus drop and throughput rates — the
-     trajectories behind the paper's bottleneck figures. *)
-  if Timeseries.enabled () then begin
-    let name suffix = Printf.sprintf "link.%d.%s" id suffix in
-    Timeseries.sample_gauge (name "queue_bytes") (fun () ->
-        float_of_int t.queued_bytes);
-    Timeseries.sample_rate (name "drops_per_s") (fun () ->
-        float_of_int t.drops);
-    Timeseries.sample_rate ~scale:0.008 (name "tx_kbps") (fun () ->
-        float_of_int t.tx_bytes)
-  end;
-  t
 
 let[@hot] tx_time t pkt = float_of_int (pkt.Packet.size * 8) /. t.rate_bps
 
@@ -161,29 +114,43 @@ let[@hot] note t event pkt =
   emit t event pkt;
   trace t event pkt
 
-let rec start_tx t pkt =
+(* The link is a persistent event source: a serialiser ([wire], at most
+   one packet) feeding a propagation pipe.  The delay is constant per
+   link, so packets leave the pipe in the order they entered it, and
+   the two closures built once in [create] pop the packet they are due
+   for instead of capturing it.  Each transmission still pushes one
+   serialisation-done and one arrival event, at the same instants and
+   in the same order as a closure per packet would. *)
+let[@hot] start_tx t pkt =
   t.busy <- true;
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + pkt.Packet.size;
   Metrics.incr t.metrics.m_tx;
   Metrics.incr_by t.metrics.m_tx_bytes pkt.Packet.size;
   note t Tx_start pkt;
-  Sim.post_after t.sim ~delay:(tx_time t pkt) (fun () ->
-         (* Serialization finished: launch propagation, then service the
-            next queued packet. *)
-         let sp = Prof.span "link" in
-         Sim.post_after t.sim ~delay:t.delay_s (fun () ->
-             let sp = Prof.span "link" in
-             note t Delivered pkt;
-             Prof.finish sp;
-             t.deliver pkt);
-         if Pool.Fifo.is_empty t.queue then t.busy <- false
-         else begin
-           let next = Pool.Fifo.pop t.queue in
-           t.queued_bytes <- t.queued_bytes - next.Packet.size;
-           start_tx t next
-         end;
-         Prof.finish sp)
+  Pool.Fifo.push t.wire pkt;
+  Sim.post t.sim ~at:(Sim.now t.sim +. tx_time t pkt) t.tx_done
+
+(* Serialisation finished: launch propagation, then service the next
+   queued packet. *)
+let[@hot] tx_done t =
+  let sp = Prof.span "link" in
+  Pool.Fifo.push t.pipe (Pool.Fifo.pop t.wire);
+  Sim.post t.sim ~at:(Sim.now t.sim +. t.delay_s) t.arrive;
+  if Pool.Fifo.is_empty t.queue then t.busy <- false
+  else begin
+    let next = Pool.Fifo.pop t.queue in
+    t.queued_bytes <- t.queued_bytes - next.Packet.size;
+    start_tx t next
+  end;
+  Prof.finish sp
+
+let[@hot] arrive t =
+  let sp = Prof.span "link" in
+  let pkt = Pool.Fifo.pop t.pipe in
+  note t Delivered pkt;
+  Prof.finish sp;
+  t.deliver pkt
 
 let[@hot] mark t pkt =
   pkt.Packet.ecn <- true;
@@ -229,6 +196,63 @@ let[@hot] send_body t pkt =
     note t Dropped pkt;
     false
   end
+
+let create ~sim ~id ~src ~dst ~dst_kind ~rate_bps ~delay_s ~buffer_bytes
+    ?buffer_packets ?ecn_threshold_bytes () =
+  if rate_bps <= 0. then invalid_arg "Link.create: rate_bps <= 0";
+  if delay_s < 0. then invalid_arg "Link.create: negative delay";
+  if buffer_bytes < 0 then invalid_arg "Link.create: negative buffer";
+  let t =
+    {
+      id;
+      src;
+      dst;
+      dst_kind;
+      rate_bps;
+      delay_s;
+      buffer_bytes;
+      buffer_packets;
+      ecn_threshold_bytes;
+      red = None;
+      sim;
+      (* Ring buffer, not Stdlib.Queue: the FIFO is entirely internal to
+         the link, and the ring allocates nothing per enqueue. *)
+      queue = Pool.Fifo.create ();
+      wire = Pool.Fifo.create ();
+      pipe = Pool.Fifo.create ();
+      queued_bytes = 0;
+      busy = false;
+      rev = None;
+      deliver = (fun _ -> ());
+      tx_done = ignore;
+      arrive = ignore;
+      on_event = None;
+      tx_packets = 0;
+      tx_bytes = 0;
+      enqueues = 0;
+      enqueue_bytes = 0;
+      drops = 0;
+      drop_bytes = 0;
+      marks = 0;
+      mark_bytes = 0;
+      metrics = link_metrics ();
+    }
+  in
+  (* Per-link time series (no-ops unless the run enabled sampling):
+     instantaneous queue depth plus drop and throughput rates — the
+     trajectories behind the paper's bottleneck figures. *)
+  if Timeseries.enabled () then begin
+    let name suffix = Printf.sprintf "link.%d.%s" id suffix in
+    Timeseries.sample_gauge (name "queue_bytes") (fun () ->
+        float_of_int t.queued_bytes);
+    Timeseries.sample_rate (name "drops_per_s") (fun () ->
+        float_of_int t.drops);
+    Timeseries.sample_rate ~scale:0.008 (name "tx_kbps") (fun () ->
+        float_of_int t.tx_bytes)
+  end;
+  t.tx_done <- (fun () -> tx_done t);
+  t.arrive <- (fun () -> arrive t);
+  t
 
 let send t pkt =
   let sp = Prof.span "link" in

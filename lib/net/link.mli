@@ -5,7 +5,12 @@
     idle, queued if the buffer has room, and dropped otherwise.  After
     serialization ([size * 8 / rate] seconds) the packet propagates for
     [delay] seconds and is handed to the receive callback installed by
-    the topology. *)
+    the topology.
+
+    A link schedules no closure per packet: it is a persistent event
+    source whose two events (serialisation done, arrival) are built
+    once and pop the packet they are due for from the link's own
+    FIFOs. *)
 
 type dst_kind = To_host | To_router | To_lan
 
@@ -44,10 +49,20 @@ type t = {
           threshold when installed (see {!Red}) *)
   sim : Mcc_engine.Sim.t;
   queue : Packet.t Pool.Fifo.t;  (** drop-tail FIFO, ring-buffer backed *)
+  wire : Packet.t Pool.Fifo.t;  (** the packet being serialised, if any *)
+  pipe : Packet.t Pool.Fifo.t;
+      (** serialised packets still propagating, oldest first: the delay
+          is constant per link, so they arrive in this order *)
   mutable queued_bytes : int;
   mutable busy : bool;
   mutable rev : t option;  (** reverse direction of a duplex pair *)
   mutable deliver : Packet.t -> unit;
+  mutable tx_done : unit -> unit;
+      (** serialisation-done event, built once per link: moves the
+          [wire] packet into [pipe] and starts the next queued one *)
+  mutable arrive : unit -> unit;
+      (** arrival event, built once per link: hands the head of [pipe]
+          to [deliver] *)
   mutable on_event : (event -> Packet.t -> unit) option;
       (** observability tap (see {!Trace}); never affects forwarding *)
   (* per-link packet and byte counters *)

@@ -2,6 +2,7 @@ module Prof = Mcc_obs.Prof
 module Lineage = Mcc_obs.Lineage
 
 type kind = Host | Edge_router | Core_router | Lan
+type attachment = ..
 
 type t = {
   id : int;
@@ -17,6 +18,7 @@ type t = {
   mutable on_forward : (int -> Link.t -> Packet.t -> unit) option;
   mutable promiscuous : (Packet.t -> unit) option;
   protected_groups : (int, unit) Hashtbl.t;
+  mutable attachments : attachment list;
 }
 
 let create ~sim ~id ~kind =
@@ -34,6 +36,7 @@ let create ~sim ~id ~kind =
     on_forward = None;
     promiscuous = None;
     protected_groups = Hashtbl.create 16;
+    attachments = [];
   }
 
 let is_router t = match t.kind with Edge_router | Core_router -> true | Host | Lan -> false
@@ -66,7 +69,7 @@ let set_unicast_handler t handler = t.local_unicast <- Some handler
 let link_to t neighbor =
   List.find_opt (fun (l : Link.t) -> l.Link.dst = neighbor) t.links
 
-let deliver_local t pkt =
+let[@hot] deliver_local t pkt =
   match pkt.Packet.dst with
   | Packet.Unicast id ->
       if id = t.id then begin
@@ -74,12 +77,12 @@ let deliver_local t pkt =
       end
   | Packet.Multicast g ->
       if not pkt.Packet.router_alert then begin
-        match Hashtbl.find_opt t.local_groups g with
-        | Some h -> h pkt
-        | None -> ()
+        match Hashtbl.find t.local_groups g with
+        | exception Not_found -> ()
+        | h -> h pkt
       end
 
-let may_forward_on t ~group link pkt =
+let[@hot] may_forward_on t ~group link pkt =
   let host_facing =
     match link.Link.dst_kind with
     | Link.To_host | Link.To_lan -> true
@@ -94,40 +97,51 @@ let may_forward_on t ~group link pkt =
 (* Branch copies come from the packet pool, and a copy that dies in a
    synchronous drop goes straight back — provided nothing could have
    kept a reference: no on_forward hook saw it and the link carries no
-   observability tap. *)
-let forward_multicast t ~from ~group pkt =
-  let same_link l = match from with Some f -> l == f | None -> false in
-  List.iter
-    (fun link ->
-      if (not (same_link link)) && may_forward_on t ~group link pkt then begin
-        let fresh = Packet.copy_pooled pkt in
-        Lineage.hop fresh.Packet.lineage ~time:(Mcc_engine.Sim.now t.sim)
-          "node.fwd";
-        (match t.on_forward with Some h -> h group link fresh | None -> ());
-        if
-          (not (Link.send link fresh))
-          && Option.is_none t.on_forward
-          && not (Link.observed link)
-        then Packet.release fresh
-      end)
-    (downstream t ~group)
+   observability tap.  The branch loop is a plain recursion over the
+   downstream list, so a forwarded packet allocates only its copies. *)
+let[@hot] forward_branch t ~from ~group pkt link =
+  let same_link = match from with Some f -> link == f | None -> false in
+  if (not same_link) && may_forward_on t ~group link pkt then begin
+    let fresh = Packet.copy_pooled pkt in
+    Lineage.hop fresh.Packet.lineage ~time:(Mcc_engine.Sim.now t.sim)
+      "node.fwd";
+    (match t.on_forward with Some h -> h group link fresh | None -> ());
+    if
+      (not (Link.send link fresh))
+      && Option.is_none t.on_forward
+      && not (Link.observed link)
+    then Packet.release fresh
+  end
 
-let receive_body t ~from pkt =
-  match t.kind with
-  | Lan ->
-      (* Repeat onto every attached link except the one leading back to
-         the sender. *)
-      let leads_back (l : Link.t) =
-        match from with Some f -> l.Link.dst = f.Link.src | None -> false
+let[@hot] rec forward_branches t ~from ~group pkt = function
+  | [] -> ()
+  | link :: rest ->
+      forward_branch t ~from ~group pkt link;
+      forward_branches t ~from ~group pkt rest
+
+let[@hot] forward_multicast t ~from ~group pkt =
+  match Hashtbl.find t.mcast_out group with
+  | exception Not_found -> ()
+  | links -> forward_branches t ~from ~group pkt !links
+
+(* A LAN repeats onto every attached link except the one leading back
+   to the sender. *)
+let[@hot] rec repeat ~from pkt = function
+  | [] -> ()
+  | (link : Link.t) :: rest ->
+      let leads_back =
+        match from with Some f -> link.Link.dst = f.Link.src | None -> false
       in
-      List.iter
-        (fun link ->
-          if not (leads_back link) then begin
-            let fresh = Packet.copy_pooled pkt in
-            if (not (Link.send link fresh)) && not (Link.observed link) then
-              Packet.release fresh
-          end)
-        t.links
+      if not leads_back then begin
+        let fresh = Packet.copy_pooled pkt in
+        if (not (Link.send link fresh)) && not (Link.observed link) then
+          Packet.release fresh
+      end;
+      repeat ~from pkt rest
+
+let[@hot] receive_body t ~from pkt =
+  match t.kind with
+  | Lan -> repeat ~from pkt t.links
   | Host ->
       (* End of the causal chain: fold the hop record into the domain's
          per-hop latency aggregates before the application sees it. *)
@@ -141,9 +155,9 @@ let receive_body t ~from pkt =
       match pkt.Packet.dst with
       | Packet.Unicast id ->
           if id <> t.id then (
-            match Hashtbl.find_opt t.fib id with
-            | Some link -> ignore (Link.send link pkt)
-            | None -> ())
+            match Hashtbl.find t.fib id with
+            | exception Not_found -> ()
+            | link -> ignore (Link.send link pkt))
       | Packet.Multicast g -> forward_multicast t ~from ~group:g pkt)
 
 let receive t ~from pkt =

@@ -9,6 +9,12 @@
 
 type kind = Host | Edge_router | Core_router | Lan
 
+type attachment = ..
+(** Per-node state owned by a higher layer (the transport mux, for
+    one), found by pattern matching over {!t.attachments}.  It lives
+    and dies with the node: no side table keeps a finished topology
+    alive. *)
+
 type t = {
   id : int;
   kind : kind;
@@ -33,6 +39,7 @@ type t = {
   protected_groups : (int, unit) Hashtbl.t;
       (** groups for which this router ignores plain IGMP joins because
           SIGMA guards them *)
+  mutable attachments : attachment list;  (** see {!attachment} *)
 }
 
 val create : sim:Mcc_engine.Sim.t -> id:int -> kind:kind -> t

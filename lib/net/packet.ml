@@ -11,8 +11,12 @@ type t = {
   mutable ecn : bool;
   mutable router_alert : bool;
   mutable payload : Payload.t;
+  mutable delta_component : int;
+  mutable delta_decrease : int;
   mutable lineage : Mcc_obs.Lineage.t;
 }
+
+let no_field = -1
 
 (* Domain-local so concurrent simulations (the batch runner farms runs
    out to domains) never contend on — or non-deterministically
@@ -33,6 +37,8 @@ let make ?(router_alert = false) ~src ~dst ~size payload =
     ecn = false;
     router_alert;
     payload;
+    delta_component = no_field;
+    delta_decrease = no_field;
     lineage = Mcc_obs.Lineage.fresh ();
   }
 
@@ -60,6 +66,8 @@ let[@hot] copy_pooled src =
     pkt.ecn <- src.ecn;
     pkt.router_alert <- src.router_alert;
     pkt.payload <- src.payload;
+    pkt.delta_component <- src.delta_component;
+    pkt.delta_decrease <- src.delta_decrease;
     pkt.lineage <- Mcc_obs.Lineage.clone src.lineage;
     pkt
   end

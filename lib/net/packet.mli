@@ -18,8 +18,16 @@ type t = {
       (** SIGMA special packets: intercepted by edge routers, never
           forwarded onto host-facing interfaces *)
   mutable payload : Payload.t;
-      (** mutable so a per-branch copy can swap in a rewritten payload
-          (ECN component scrubbing) without aliasing other branches *)
+      (** shared by every multicast copy of the packet: treat as
+          immutable once sent *)
+  mutable delta_component : int;
+  mutable delta_decrease : int;
+      (** DELTA header words (paper Sections 3 and 4.2): the component
+          field and the decrease field of a layered-multicast data
+          packet, {!no_field} when absent.  Unboxed and per copy, so a
+          trusted edge router rewrites a branch copy's fields in place
+          (ECN scrub, interface-specific pads) without touching the
+          parent or its siblings *)
   mutable lineage : Mcc_obs.Lineage.t;
       (** causal hop record; the shared sentinel (all mutators no-op)
           unless {!Mcc_obs.Lineage} collection is enabled.  [copy]/
@@ -30,8 +38,13 @@ type t = {
     place; outside {!copy_pooled} the identity fields (uid, src, dst,
     size, router_alert) are never written after {!make}. *)
 
+val no_field : int
+(** [-1], the value of an absent DELTA header word (keys are
+    non-negative). *)
+
 val make : ?router_alert:bool -> src:int -> dst:dst -> size:int -> Payload.t -> t
-(** Allocates a fresh uid.  @raise Invalid_argument if [size <= 0]. *)
+(** Allocates a fresh uid; both DELTA words start as {!no_field}.
+    @raise Invalid_argument if [size <= 0]. *)
 
 val copy : t -> t
 (** Same uid and fields; independent mutable state. *)

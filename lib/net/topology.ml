@@ -43,7 +43,9 @@ let connect t a b ~rate_bps ~delay_s ~buffer_bytes ?buffer_packets
         ~dst_kind:(dst_kind_of dst) ~rate_bps ~delay_s ~buffer_bytes
         ?buffer_packets ?ecn_threshold_bytes ()
     in
-    link.Link.deliver <- (fun pkt -> Node.receive dst ~from:(Some link) pkt);
+    (* One [Some link] per link, not one per delivered packet. *)
+    let from = Some link in
+    link.Link.deliver <- (fun pkt -> Node.receive dst ~from pkt);
     t.links <- link :: t.links;
     link
   in
@@ -55,9 +57,71 @@ let connect t a b ~rate_bps ~delay_s ~buffer_bytes ?buffer_packets
   b.Node.links <- ba :: b.Node.links;
   (ab, ba)
 
+(* Dijkstra's frontier: a binary min-heap of (distance, node id) pairs,
+   ordered by distance and then id, with lazy deletion (an entry whose
+   distance is above the node's current one is stale).  Popping the
+   least live entry therefore visits nodes in exactly the order of a
+   linear scan for the lowest-id node at the least distance. *)
+type frontier = {
+  mutable d : float array;
+  mutable id : int array;
+  mutable len : int;
+}
+
+let before f i j = f.d.(i) < f.d.(j) || (f.d.(i) = f.d.(j) && f.id.(i) < f.id.(j))
+
+let swap f i j =
+  let d = f.d.(i) and id = f.id.(i) in
+  f.d.(i) <- f.d.(j);
+  f.id.(i) <- f.id.(j);
+  f.d.(j) <- d;
+  f.id.(j) <- id
+
+let rec sift_up f i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before f i parent then begin
+    swap f i parent;
+    sift_up f parent
+  end
+
+let rec sift_down f i =
+  let l = (2 * i) + 1 in
+  let least = if l < f.len && before f l i then l else i in
+  let least = if l + 1 < f.len && before f (l + 1) least then l + 1 else least in
+  if least <> i then begin
+    swap f i least;
+    sift_down f least
+  end
+
+let push f dist v =
+  if f.len = Array.length f.d then begin
+    let cap = max 16 (2 * f.len) in
+    let d = Array.make cap 0. and id = Array.make cap 0 in
+    Array.blit f.d 0 d 0 f.len;
+    Array.blit f.id 0 id 0 f.len;
+    f.d <- d;
+    f.id <- id
+  end;
+  f.d.(f.len) <- dist;
+  f.id.(f.len) <- v;
+  f.len <- f.len + 1;
+  sift_up f (f.len - 1)
+
+(* Removes the least entry and returns its node id. *)
+let pop f =
+  let v = f.id.(0) in
+  f.len <- f.len - 1;
+  f.d.(0) <- f.d.(f.len);
+  f.id.(0) <- f.id.(f.len);
+  sift_down f 0;
+  v
+
 let compute_routes t =
   let all = nodes t in
   let n = t.node_count in
+  (* Ids are 0..n-1 in creation order. *)
+  let by_id = Array.of_list all in
+  let frontier = { d = [||]; id = [||]; len = 0 } in
   List.iter
     (fun (src : Node.t) ->
       (* Dijkstra from [src] over propagation delay. *)
@@ -65,31 +129,26 @@ let compute_routes t =
       let first_hop : Link.t option array = Array.make n None in
       let visited = Array.make n false in
       dist.(src.Node.id) <- 0.;
-      let rec loop () =
-        (* Linear-scan extraction is fine at simulation topology sizes. *)
-        let best = ref (-1) in
-        for i = 0 to n - 1 do
-          if (not visited.(i)) && dist.(i) < infinity
-             && (!best = -1 || dist.(i) < dist.(!best))
-          then best := i
-        done;
-        if !best >= 0 then begin
-          let u = !best in
+      frontier.len <- 0;
+      push frontier 0. src.Node.id;
+      while frontier.len > 0 do
+        let stale = frontier.d.(0) > dist.(frontier.id.(0)) in
+        let u = pop frontier in
+        if not (stale || visited.(u)) then begin
           visited.(u) <- true;
-          let node_u = node t u in
           List.iter
             (fun (l : Link.t) ->
               let v = l.Link.dst in
               let d = dist.(u) +. l.Link.delay_s +. 1e-9 in
               if d < dist.(v) then begin
                 dist.(v) <- d;
-                first_hop.(v) <- (if u = src.Node.id then Some l else first_hop.(u))
+                first_hop.(v) <-
+                  (if u = src.Node.id then Some l else first_hop.(u));
+                push frontier d v
               end)
-            node_u.Node.links;
-          loop ()
+            by_id.(u).Node.links
         end
-      in
-      loop ();
+      done;
       Hashtbl.reset src.Node.fib;
       for v = 0 to n - 1 do
         if v <> src.Node.id then

@@ -14,8 +14,18 @@
 
    Zero cost when disabled: [span] reads one domain-local flag and
    returns the [disabled] token; [finish disabled] is one compare.  No
-   closure, no allocation, no clock read.  The lint prof-span rule
+   closure, no allocation, no clock read.  When enabled, a span on a
+   known call path allocates nothing either (unboxed clock reads, flat
+   float accumulators), so the minor words a node reports are its
+   component's own, not the profiler's.  The lint prof-span rule
    keeps span sites inside lib/ behind .mli interfaces. *)
+
+(* All-float, so the per-span accumulations are unboxed stores. *)
+type totals = {
+  mutable total_s : float;
+  mutable self_s : float;
+  mutable alloc_w : float;  (** minor words allocated, children excluded *)
+}
 
 type node = {
   name : string;
@@ -24,9 +34,7 @@ type node = {
   mutable first_child : int;
   mutable next_sibling : int;
   mutable count : int;
-  mutable total_s : float;
-  mutable self_s : float;
-  mutable alloc_w : float;  (** minor words allocated, children excluded *)
+  acc : totals;
 }
 
 type state = {
@@ -54,9 +62,7 @@ let dummy_node () =
     first_child = nil;
     next_sibling = nil;
     count = 0;
-    total_s = 0.;
-    self_s = 0.;
-    alloc_w = 0.;
+    acc = { total_s = 0.; self_s = 0.; alloc_w = 0. };
   }
 
 let state_key =
@@ -114,24 +120,22 @@ let add_node st ~parent ~depth name =
       first_child = nil;
       next_sibling = nil;
       count = 0;
-      total_s = 0.;
-      self_s = 0.;
-      alloc_w = 0.;
+      acc = { total_s = 0.; self_s = 0.; alloc_w = 0. };
     };
   st.n_nodes <- i + 1;
   i
+
+let rec scan st name i =
+  if i = nil then nil
+  else if String.equal st.nodes.(i).name name then i
+  else scan st name st.nodes.(i).next_sibling
 
 (* Find [name] among [parent]'s children (root chain when parent is
    nil), creating it on first use.  Linear scan: component fan-out is a
    handful of names, and a hit allocates nothing. *)
 let find_or_add st parent name =
   let head = if parent = nil then st.roots else st.nodes.(parent).first_child in
-  let rec scan i =
-    if i = nil then nil
-    else if String.equal st.nodes.(i).name name then i
-    else scan st.nodes.(i).next_sibling
-  in
-  match scan head with
+  match scan st name head with
   | i when i <> nil -> i
   | _ ->
       let depth = if parent = nil then 0 else st.nodes.(parent).depth + 1 in
@@ -188,9 +192,9 @@ let pop_frame st =
   let dw = Gc.minor_words () -. st.fr_w0.(i) in
   let node = st.nodes.(st.fr_node.(i)) in
   node.count <- node.count + 1;
-  node.total_s <- node.total_s +. dt;
-  node.self_s <- node.self_s +. (dt -. st.fr_child_s.(i));
-  node.alloc_w <- node.alloc_w +. (dw -. st.fr_child_w.(i));
+  node.acc.total_s <- node.acc.total_s +. dt;
+  node.acc.self_s <- node.acc.self_s +. (dt -. st.fr_child_s.(i));
+  node.acc.alloc_w <- node.acc.alloc_w +. (dw -. st.fr_child_w.(i));
   st.depth <- i;
   if i > 0 then begin
     st.fr_child_s.(i - 1) <- st.fr_child_s.(i - 1) +. dt;
@@ -247,9 +251,9 @@ let snapshot () =
         path = path_of i [];
         depth = n.depth;
         count = n.count;
-        total_s = n.total_s;
-        self_s = n.self_s;
-        alloc_w = n.alloc_w;
+        total_s = n.acc.total_s;
+        self_s = n.acc.self_s;
+        alloc_w = n.acc.alloc_w;
       }
     in
     List.fold_left (fun acc c -> walk c acc) (e :: acc) (children_of n.first_child)

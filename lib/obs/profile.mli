@@ -48,10 +48,14 @@ val make :
 (** Derives [events_per_sec] (0 when [wall_s] is 0).  [sched] defaults
     to ["heap"], the engine's default backend. *)
 
-val now : unit -> float
-(** Host wall clock, in seconds.  The one sanctioned direct read (see
-    {!with_wall_clock}); the only other caller is {!Prof}, which needs
-    per-span timestamps rather than one bracketed measurement. *)
+external now : unit -> (float[@unboxed])
+  = "caml_unix_gettimeofday" "caml_unix_gettimeofday_unboxed"
+  [@@noalloc]
+(** Host wall clock, in seconds: [Unix.gettimeofday]'s primitive,
+    allocation-free where the result is used unboxed.  The one
+    sanctioned direct read (see {!with_wall_clock}); the only other
+    caller is {!Prof}, which needs per-span timestamps rather than one
+    bracketed measurement. *)
 
 val with_wall_clock : (unit -> 'a) -> 'a * float
 (** [with_wall_clock f] runs [f] and returns its result paired with the

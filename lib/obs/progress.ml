@@ -57,6 +57,11 @@ let take t ~final =
     final;
   }
 
+(* The monitor sleeps in slices of at most this many seconds, checking
+   for [stop] between them, so stopping never waits out a long
+   [interval]. *)
+let max_slice = 0.02
+
 let start ?(interval = 0.2) ~total ~on_progress () =
   let t =
     {
@@ -72,11 +77,17 @@ let start ?(interval = 0.2) ~total ~on_progress () =
   in
   let monitor =
     Domain.spawn (fun () ->
+        let due = ref (Profile.now () +. interval) in
         (* lint: allow domain-escape — worker-atomics: the monitor reads only t's Atomic fields *)
         while not (Atomic.get t.stopped) do
-          (* lint: allow wall-clock — monitor pacing sleep, meter-only *)
-          Unix.sleepf interval;
-          if not (Atomic.get t.stopped) then on_progress (take t ~final:false)
+          let wait = Float.min max_slice (!due -. Profile.now ()) in
+          if wait > 0. then
+            (* lint: allow wall-clock — monitor pacing sleep, meter-only *)
+            Unix.sleepf wait
+          else begin
+            on_progress (take t ~final:false);
+            due := Profile.now () +. interval
+          end
         done)
   in
   t.monitor <- Some monitor;

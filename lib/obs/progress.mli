@@ -50,7 +50,9 @@ val cell_done : t -> events:int -> minor_words:float -> unit
 val stop : t -> sample
 (** Stops and joins the monitor domain, then emits one final sample
     (with [final = true]) through [on_progress] and returns it.  ETA is
-    suppressed on the final sample. *)
+    suppressed on the final sample.  The monitor paces itself in sleeps
+    of at most 20 ms, so [stop] returns within about that (plus one
+    [on_progress] call in flight), whatever the [interval]. *)
 
 val render : sample -> string
 (** One-line meter for the sample, no trailing newline — e.g.

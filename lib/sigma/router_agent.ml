@@ -26,6 +26,39 @@ type config = {
   interface_keys : bool;
 }
 
+(* Pad tables are keyed by (link id, group, guarded slot) packed into one
+   int, hashed by a multiply-xorshift: a lookup builds no tuple and calls
+   no polymorphic hash.  [pad_key] is [-1] (never stored) outside the
+   packable ranges. *)
+module Pads = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x1F3D5B79A3C8E5 in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+let slot_bits = 21
+let group_bits = 21
+let link_bits = 20
+
+let[@hot] pad_key ~link_id ~group ~slot =
+  if
+    link_id < 0 || link_id >= 1 lsl link_bits
+    || group < 0 || group >= 1 lsl group_bits
+    || slot < 0 || slot >= 1 lsl slot_bits
+  then -1
+  else (((link_id lsl group_bits) lor group) lsl slot_bits) lor slot
+
+let pad_key_slot k = k land ((1 lsl slot_bits) - 1)
+
+let stored_pad_key ~link_id ~group ~slot =
+  let k = pad_key ~link_id ~group ~slot in
+  if k < 0 then invalid_arg "Router_agent: pad key out of range";
+  k
+
 let default_config =
   {
     width = Key.default_width;
@@ -173,12 +206,12 @@ type t = {
       (* minimal groups the router itself is grafted to, keeping the
          special-packet channel alive while receivers hold only higher
          groups *)
-  pads : (int * int * int, Key.t) Hashtbl.t;
+  pads : Key.t Pads.t;
       (* (link id, group, guarded slot) -> XOR of the pads applied to
          that interface's forwarded components: the delta between the
          sender's upper keys and the interface-specific lower keys
          (paper Section 4.2, collusion resistance) *)
-  dec_pads : (int * int * int, Key.t) Hashtbl.t;
+  dec_pads : Key.t Pads.t;
       (* (link id, group, guarded slot) -> the single stable pad applied
          to every copy of that group's decrease key forwarded down the
          interface, making decrease keys interface-specific too (they
@@ -268,17 +301,17 @@ let charge_join_lockout t grant ~group ~time ~duration =
 
 (* --- enforcement hooks ------------------------------------------------ *)
 
-let filter t group link =
+let[@hot] filter t group link =
   if not (Hashtbl.mem t.groups group) then true (* unprotected group *)
   else
-    match Hashtbl.find_opt t.ifaces link.Link.id with
-    | None -> false
-    | Some iface -> (
-        match Hashtbl.find_opt iface.grants group with
-        | None -> false
-        | Some grant -> active_at grant (now t))
+    match Hashtbl.find t.ifaces link.Link.id with
+    | exception Not_found -> false
+    | iface -> (
+        match Hashtbl.find iface.grants group with
+        | exception Not_found -> false
+        | grant -> active_at grant (now t))
 
-let on_forward t _group (link : Link.t) pkt =
+let[@hot] on_forward t _group (link : Link.t) pkt =
   match link.Link.dst_kind with
   | Link.To_host | Link.To_lan -> (
       (* The transform rewrites components: always on marked packets
@@ -465,19 +498,24 @@ let interface_keys_enabled t = t.config.interface_keys
    created on first use: the scrubber applies it to every forwarded copy
    so the receiver's view is consistent, and validation maps a submitted
    decrease key back through it. *)
-let decrease_pad t ~link_id ~group ~guarded_slot ~fresh =
-  let key = (link_id, group, guarded_slot) in
-  match Hashtbl.find_opt t.dec_pads key with
-  | Some p -> p
-  | None ->
-      let p = fresh () in
-      Hashtbl.replace t.dec_pads key p;
+let[@hot] decrease_pad t ~link_id ~group ~guarded_slot prng ~width =
+  let key = stored_pad_key ~link_id ~group ~slot:guarded_slot in
+  match Pads.find t.dec_pads key with
+  | p -> p
+  | exception Not_found ->
+      let p = Key.nonce prng ~width in
+      Pads.replace t.dec_pads key p;
       p
 
-let note_pad t ~link_id ~group ~guarded_slot ~pad =
-  let key = (link_id, group, guarded_slot) in
-  let prev = Option.value (Hashtbl.find_opt t.pads key) ~default:0 in
-  Hashtbl.replace t.pads key (Key.xor prev pad)
+let[@hot] note_pad t ~link_id ~group ~guarded_slot ~pad =
+  let key = stored_pad_key ~link_id ~group ~slot:guarded_slot in
+  let prev = match Pads.find t.pads key with p -> p | exception Not_found -> 0 in
+  Pads.replace t.pads key (Key.xor prev pad)
+
+let find_pad pads ~link_id ~group ~slot =
+  match Pads.find pads (pad_key ~link_id ~group ~slot) with
+  | p -> Some p
+  | exception Not_found -> None
 
 (* XOR of the pads applied on [link] to groups [from_addr..to_addr] of a
    consecutively addressed session: the correction between a lower
@@ -485,7 +523,7 @@ let note_pad t ~link_id ~group ~guarded_slot ~pad =
 let cumulative_pad t ~link_id ~from_addr ~to_addr ~slot =
   let acc = ref 0 in
   for addr = from_addr to to_addr do
-    match Hashtbl.find_opt t.pads (link_id, addr, slot) with
+    match find_pad t.pads ~link_id ~group:addr ~slot with
     | Some p -> acc := Key.xor !acc p
     | None -> ()
   done;
@@ -515,7 +553,7 @@ let upper_candidates t ~link_id ~group ~slot key =
       else 0
     in
     let dec =
-      match Hashtbl.find_opt t.dec_pads (link_id, group, slot) with
+      match find_pad t.dec_pads ~link_id ~group ~slot with
       | Some p -> [ Key.xor key p ]
       | None -> []
     in
@@ -812,17 +850,16 @@ let sweep t =
   release_idle_control_channels t;
   (* Purge pad accumulators for long-gone slots. *)
   let purge_pads pads =
-    if Hashtbl.length pads > 4096 then begin
+    if Pads.length pads > 4096 then begin
       let horizon =
-        Hashtbl.fold (fun (_, _, slot) _ acc -> max acc slot) pads 0 - 16
+        Pads.fold (fun key _ acc -> max acc (pad_key_slot key)) pads 0 - 16
       in
       let stale =
-        Hashtbl.fold
-          (fun ((_, _, slot) as key) _ acc ->
-            if slot < horizon then key :: acc else acc)
+        Pads.fold
+          (fun key _ acc -> if pad_key_slot key < horizon then key :: acc else acc)
           pads []
       in
-      List.iter (Hashtbl.remove pads) stale
+      List.iter (Pads.remove pads) stale
     end
   in
   purge_pads t.pads;
@@ -885,8 +922,8 @@ let attach ?(config = default_config) topo node =
       guesses = Hashtbl.create 16;
       sessions = Hashtbl.create 8;
       control_held = Hashtbl.create 8;
-      pads = Hashtbl.create 256;
-      dec_pads = Hashtbl.create 256;
+      pads = Pads.create 256;
+      dec_pads = Pads.create 256;
       scrubber = None;
       tallies = tallies_create ();
       failures = Hashtbl.create 8;

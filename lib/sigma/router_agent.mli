@@ -69,13 +69,20 @@ val decrease_pad :
   link_id:int ->
   group:int ->
   guarded_slot:int ->
-  fresh:(unit -> Mcc_delta.Key.t) ->
+  Mcc_util.Prng.t ->
+  width:int ->
   Mcc_delta.Key.t
 (** The stable pad applied to every forwarded copy of [group]'s decrease
-    key for [guarded_slot] on the given interface, created with [fresh]
-    on first use.  Decrease keys are per-slot constants, so one pad per
-    (interface, group, slot) keeps the receiver's view consistent while
-    making the key interface-specific. *)
+    key for [guarded_slot] on the given interface, drawn from the PRNG
+    ({!Mcc_delta.Key.nonce}) on first use only.  Decrease keys are
+    per-slot constants, so one pad per (interface, group, slot) keeps
+    the receiver's view consistent while making the key
+    interface-specific.
+
+    Pads are kept per (interface, group, slot) under one packed integer
+    key; [note_pad] and [decrease_pad] raise [Invalid_argument] unless
+    [0 <= link_id < 2^20], [0 <= group < 2^21] and
+    [0 <= guarded_slot < 2^21]. *)
 
 val iface_active : t -> group:int -> toward:int -> bool
 (** Is traffic for [group] currently forwarded toward node [toward]? *)

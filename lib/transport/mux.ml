@@ -2,21 +2,22 @@ module Node = Mcc_net.Node
 
 type t = { mutable handlers : (Mcc_net.Packet.t -> bool) list }
 
-(* Keyed by physical node identity: node ids restart from 0 in every
-   topology, and one process (the benchmark harness) builds many.
-   Domain-local so concurrent simulations on separate domains (the
-   batch runner) cannot race on the list or clobber each other's
-   unicast handlers; a node and all its traffic live on one domain. *)
-let registry_key : (Node.t * t) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* The mux hangs off its node, so finding it is a scan of the node's
+   (one- or two-element) attachment list, and it is collected with the
+   node: a finished topology leaves nothing behind in a domain. *)
+type Node.attachment += Mux of t
+
+let rec find = function
+  | [] -> None
+  | Mux t :: _ -> Some t
+  | _ :: rest -> find rest
 
 let of_node (node : Node.t) =
-  let registry = Domain.DLS.get registry_key in
-  match List.find_opt (fun (n, _) -> n == node) !registry with
-  | Some (_, t) -> t
+  match find node.Node.attachments with
+  | Some t -> t
   | None ->
       let t = { handlers = [] } in
-      registry := (node, t) :: !registry;
+      node.Node.attachments <- Mux t :: node.Node.attachments;
       Node.set_unicast_handler node (fun pkt ->
           let rec dispatch = function
             | [] -> ()

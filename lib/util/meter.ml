@@ -1,12 +1,12 @@
 type t = {
   bin : float;
   mutable bins : float array; (* bytes per bin *)
-  mutable last_time : float;
+  last_time : float ref;  (* all-float record: stored unboxed *)
   mutable total : int;
 }
 
 let create ?(bin = 1.0) () =
-  { bin; bins = Array.make 64 0.; last_time = 0.; total = 0 }
+  { bin; bins = Array.make 64 0.; last_time = ref 0.; total = 0 }
 
 let bin_index t time = int_of_float (time /. t.bin)
 
@@ -15,9 +15,10 @@ let ensure t idx =
     t.bins <- Array.append t.bins (Array.make (Array.length t.bins) 0.)
   done
 
-let record t ~time ~bytes =
-  if time < t.last_time then invalid_arg "Meter.record: time going backwards";
-  t.last_time <- time;
+let[@hot] record t ~time ~bytes =
+  if time < !(t.last_time) then
+    invalid_arg "Meter.record: time going backwards";
+  t.last_time := time;
   let idx = bin_index t time in
   ensure t idx;
   t.bins.(idx) <- t.bins.(idx) +. float_of_int bytes;
@@ -25,7 +26,7 @@ let record t ~time ~bytes =
 
 let total_bytes t = t.total
 
-let used_bins t = bin_index t t.last_time + 1
+let used_bins t = bin_index t !(t.last_time) + 1
 
 let kbps_of_bytes t bytes = bytes *. 8. /. t.bin /. 1000.
 

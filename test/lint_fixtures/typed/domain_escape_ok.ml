@@ -7,3 +7,12 @@ let ok () =
   Atomic.get counter
 
 let key = Domain.DLS.new_key (fun () -> ref 0)
+
+(* A captured float typed [Float.t] is not this unit's mutable [t]. *)
+type t = { mutable hits : int }
+
+let slice = 0.5
+
+let ok_float () =
+  let d = Domain.spawn (fun () -> Float.min slice 1.) in
+  Domain.join d

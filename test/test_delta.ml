@@ -2,7 +2,6 @@ module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Layered = Mcc_delta.Layered
 module Replicated = Mcc_delta.Replicated
-module Field = Mcc_delta.Field
 module Ecn = Mcc_delta.Ecn
 
 let n = 5
@@ -346,7 +345,7 @@ let prop_replicated_independence =
           let last = i = 2 in
           let component = Replicated.next_component sender ~group:g ~last in
           if not (g = lossy_group && i = 1) then
-            Replicated.on_packet receiver ~group:g ~component ~decrease:None
+            Replicated.on_packet receiver ~group:g ~component ~decrease:Key.none
         done
       done;
       let keys = Replicated.sender_keys sender in
@@ -373,18 +372,78 @@ let test_ecn_scrub_changes () =
     Alcotest.(check bool) "differs" true (scrubbed <> original)
   done
 
+(* A two-interface edge router and a FLID data packet carrying both
+   DELTA header words, for driving the SIGMA component transform. *)
+let scrub_env ~interface_keys =
+  let module Sim = Mcc_engine.Sim in
+  let module Node = Mcc_net.Node in
+  let module Topology = Mcc_net.Topology in
+  let module Router_agent = Mcc_sigma.Router_agent in
+  let topo = Topology.create (Sim.create ()) in
+  let router = Topology.add_node topo Node.Edge_router in
+  let iface () =
+    let host = Topology.add_node topo Node.Host in
+    fst
+      (Topology.connect topo router host ~rate_bps:1e6 ~delay_s:0.001
+         ~buffer_bytes:10_000 ())
+  in
+  let l1 = iface () in
+  let l2 = iface () in
+  let agent =
+    Router_agent.attach
+      ~config:{ Router_agent.default_config with interface_keys }
+      topo router
+  in
+  let pkt =
+    Mcc_net.Packet.make ~src:0 ~dst:(Mcc_net.Packet.Multicast 0x1001)
+      ~size:580
+      (Mcc_mcast.Flid.Data
+         { session = 1; group = 2; slot = 5; seq = 0; last = false;
+           upgrade_mask = 0 })
+  in
+  pkt.Mcc_net.Packet.delta_component <- 0x1234;
+  pkt.Mcc_net.Packet.delta_decrease <- 7;
+  (Mcc_core.Scenario.delta_transform agent (Prng.create 5), l1, l2, pkt)
+
 let test_ecn_scrub_field () =
-  let prng = Prng.create 5 in
-  let f = Field.make ~component:0x1234 ~decrease:(Some 7) in
-  Ecn.scrub prng ~width f;
-  Alcotest.(check bool) "component replaced" true (f.Field.component <> 0x1234);
-  Alcotest.(check (option int)) "decrease kept" (Some 7) f.Field.decrease
+  let transform, l1, _, pkt = scrub_env ~interface_keys:false in
+  pkt.Mcc_net.Packet.ecn <- true;
+  transform l1 pkt;
+  Alcotest.(check bool) "component replaced" true
+    (pkt.Mcc_net.Packet.delta_component <> 0x1234);
+  Alcotest.(check int) "decrease kept" 7 pkt.Mcc_net.Packet.delta_decrease
+
+(* The transform rewrites the header words of the copy it is handed and
+   nothing else: the parent packet and the sibling copies keep theirs. *)
+let test_scrub_copy_isolated () =
+  let module Packet = Mcc_net.Packet in
+  let transform, l1, l2, parent = scrub_env ~interface_keys:true in
+  let marked = Packet.copy parent in
+  let padded = Packet.copy parent in
+  let untouched = Packet.copy_pooled parent in
+  marked.Packet.ecn <- true;
+  transform l1 marked;
+  transform l2 padded;
+  let words p = (p.Packet.delta_component, p.Packet.delta_decrease) in
+  Alcotest.(check (pair int int)) "parent keeps its fields" (0x1234, 7)
+    (words parent);
+  Alcotest.(check (pair int int)) "unforwarded sibling keeps its fields"
+    (0x1234, 7) (words untouched);
+  Alcotest.(check bool) "marked copy scrubbed" true
+    (marked.Packet.delta_component <> 0x1234);
+  Alcotest.(check bool) "other copy padded" true
+    (padded.Packet.delta_component <> 0x1234
+    && padded.Packet.delta_decrease <> 7);
+  Alcotest.(check bool) "each interface gets its own fields" true
+    (words marked <> words padded);
+  Alcotest.(check bool) "payload still shared" true
+    (marked.Packet.payload == parent.Packet.payload)
 
 let test_field_wire_bytes () =
-  let f1 = Field.make ~component:1 ~decrease:None in
-  let f2 = Field.make ~component:1 ~decrease:(Some 2) in
-  Alcotest.(check int) "component only" 2 (Field.wire_bytes ~width:16 f1);
-  Alcotest.(check int) "both fields" 4 (Field.wire_bytes ~width:16 f2)
+  Alcotest.(check int) "component only" 2
+    (Key.fields_bytes ~width:16 ~decrease:false);
+  Alcotest.(check int) "both fields" 4
+    (Key.fields_bytes ~width:16 ~decrease:true)
 
 let suite =
   ( "delta",
@@ -414,5 +473,7 @@ let suite =
       Alcotest.test_case "ecn scrub changes component" `Quick
         test_ecn_scrub_changes;
       Alcotest.test_case "ecn scrub field" `Quick test_ecn_scrub_field;
+      Alcotest.test_case "scrub leaves parent and siblings" `Quick
+        test_scrub_copy_isolated;
       Alcotest.test_case "field wire bytes" `Quick test_field_wire_bytes;
     ] )

@@ -182,6 +182,16 @@ let test_hot_alloc () =
   Alcotest.(check (list int)) "non-hot allocator out of scope" []
     (lines (typed_check [ Lint.Hot_alloc ] "hot_alloc_ok.ml"))
 
+let test_hot_float_store () =
+  let fs = typed_check [ Lint.Hot_alloc ] "hot_float_bad.ml" in
+  Alcotest.(check (list string)) "rule id" [ "hot-alloc"; "hot-alloc" ] (ids fs);
+  Alcotest.(check (list int))
+    "float store into a mixed record and partial application flagged"
+    [ 3; 5 ] (lines fs);
+  Alcotest.(check (list int))
+    "all-float stores and applied stored functions clean" []
+    (lines (typed_check [ Lint.Hot_alloc ] "hot_float_ok.ml"))
+
 let test_registry_exhaustive () =
   let fs = typed_check [ Lint.Registry_exhaustive ] "registry_bad.ml" in
   Alcotest.(check (list string)) "rule id" [ "registry-exhaustive" ] (ids fs);
@@ -289,6 +299,8 @@ let suite =
       Alcotest.test_case "gc-stats fixture" `Quick test_gc_stats;
       Alcotest.test_case "domain-escape fixture" `Quick test_domain_escape;
       Alcotest.test_case "hot-alloc fixture" `Quick test_hot_alloc;
+      Alcotest.test_case "hot-alloc float store fixture" `Quick
+        test_hot_float_store;
       Alcotest.test_case "registry-exhaustive fixture" `Quick
         test_registry_exhaustive;
       Alcotest.test_case "registry consumer completeness" `Quick

@@ -38,7 +38,6 @@ let test_payload_pp_extension () =
         seq = 4;
         last = true;
         upgrade_mask = 0;
-        delta = None;
       }
   in
   let s = to_string Payload.pp flid in

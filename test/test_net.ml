@@ -124,6 +124,66 @@ let test_routing_shortest_path () =
   | Some link -> Alcotest.(check int) "via c" c.Node.id link.Link.dst
   | None -> Alcotest.fail "no route"
 
+(* Equal-cost paths everywhere (a ring of rings with few distinct
+   delays): the next hops must be those of a plain Dijkstra that
+   extracts the lowest-id node among the closest, the order the route
+   computation has always used — every FIB decides which of several
+   equal paths packets take. *)
+let test_routes_tie_break () =
+  let topo = Topology.create (Sim.create ()) in
+  let n = 48 in
+  let nodes = Array.init n (fun _ -> Topology.add_node topo Node.Core_router) in
+  let connect i j delay =
+    ignore
+      (Topology.connect topo nodes.(i) nodes.(j) ~rate_bps:1e6 ~delay_s:delay
+         ~buffer_bytes:10_000 ())
+  in
+  for i = 0 to n - 1 do
+    connect i ((i + 1) mod n) 0.001;
+    if i mod 3 = 0 then connect i ((i + 7) mod n) 0.002;
+    if i mod 5 = 0 then connect i ((i * 11 + 3) mod n) 0.003
+  done;
+  Topology.compute_routes topo;
+  Array.iter
+    (fun (src : Node.t) ->
+      let dist = Array.make n infinity in
+      let first = Array.make n (-1) in
+      let visited = Array.make n false in
+      dist.(src.Node.id) <- 0.;
+      let rec loop () =
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          if (not visited.(i)) && dist.(i) < infinity
+             && (!best < 0 || dist.(i) < dist.(!best))
+          then best := i
+        done;
+        if !best >= 0 then begin
+          let u = !best in
+          visited.(u) <- true;
+          List.iter
+            (fun (l : Link.t) ->
+              let d = dist.(u) +. l.Link.delay_s +. 1e-9 in
+              if d < dist.(l.Link.dst) then begin
+                dist.(l.Link.dst) <- d;
+                first.(l.Link.dst) <-
+                  (if u = src.Node.id then l.Link.id else first.(u))
+              end)
+            nodes.(u).Node.links;
+          loop ()
+        end
+      in
+      loop ();
+      for v = 0 to n - 1 do
+        if v <> src.Node.id then
+          Alcotest.(check int)
+            (Printf.sprintf "next hop %d -> %d" src.Node.id v)
+            first.(v)
+            (match Hashtbl.find_opt src.Node.fib v with
+            | Some l -> l.Link.id
+            | None -> -1)
+      done)
+    nodes
+
 let test_multicast_tree_and_prune () =
   let sim, topo, h1, _r1, r2, h2, mid = line_topology () in
   let group = 500 in
@@ -305,6 +365,94 @@ let test_lan_repeats () =
   Alcotest.(check int) "b receives" 1 !b_local;
   Alcotest.(check int) "a snoops via promiscuous tap" 1 !a_prom
 
+(* A saturated link on its own sim: [n] packets of varying size offered
+   in bursts, every delivery logged as (time, uid).  Returns the log,
+   oldest first, and the number of packets the link accepted. *)
+let saturated_link sched ~n =
+  let sim = Sim.create ~sched () in
+  let link =
+    Link.create ~sim ~id:0 ~src:0 ~dst:1 ~dst_kind:Link.To_router
+      ~rate_bps:1e6 ~delay_s:0.013 ~buffer_bytes:20_000 ()
+  in
+  (* Uids are per domain, so each log numbers packets from its first. *)
+  let first_uid = ref (-1) in
+  let log = ref [] in
+  link.Link.deliver <-
+    (fun pkt ->
+      if !first_uid < 0 then first_uid := pkt.Packet.uid;
+      log := (Sim.now sim, pkt.Packet.uid - !first_uid) :: !log);
+  let accepted = ref 0 in
+  for burst = 0 to (n / 50) - 1 do
+    Sim.post sim
+      ~at:(0.1 *. float_of_int burst)
+      (fun () ->
+        for i = 0 to 49 do
+          let size = 40 + (((burst * 50) + i) * 37 mod 1460) in
+          let pkt =
+            Packet.make ~src:0 ~dst:(Packet.Unicast 1) ~size Payload.Raw
+          in
+          if Link.send link pkt then incr accepted
+        done)
+  done;
+  Sim.run sim;
+  (List.rev !log, !accepted)
+
+(* The link's serialiser and propagation pipe deliver in FIFO order at
+   the instants a closure per packet would have: identical logs under
+   both scheduler backends, one delivery per accepted packet, strictly
+   in acceptance (uid) order, each at least a propagation delay after
+   the previous one's serialisation could have ended. *)
+let test_saturated_link_backends () =
+  let heap, acc_h = saturated_link Mcc_engine.Scheduler.heap ~n:2000 in
+  let wheel, acc_w = saturated_link Mcc_engine.Scheduler.wheel ~n:2000 in
+  Alcotest.(check int) "same acceptance" acc_h acc_w;
+  Alcotest.(check bool) "link saturated (some drops)" true (acc_h < 2000);
+  Alcotest.(check int) "one delivery per accepted packet" acc_h
+    (List.length heap);
+  Alcotest.(check (list (pair (float 0.) int)))
+    "heap and wheel deliver identically" heap wheel;
+  let uids = List.map snd heap in
+  Alcotest.(check (list int)) "FIFO order" (List.sort compare uids) uids;
+  let times = List.map fst heap in
+  Alcotest.(check bool) "non-decreasing arrival times" true
+    (List.for_all2 (fun a b -> a <= b)
+       (List.filteri (fun i _ -> i < List.length times - 1) times)
+       (List.tl times))
+
+(* Steady state through [Link.send] on a saturated link: the link itself
+   allocates only the two boxed event times it hands [Sim.post] (4 words
+   per packet), and the engine boxes its clock once per event (4 more);
+   nothing per packet beyond that, bar the amortised growth of the
+   scheduler and the event pool. *)
+let test_link_steady_state_words () =
+  let sim = Sim.create () in
+  let link =
+    Link.create ~sim ~id:0 ~src:0 ~dst:1 ~dst_kind:Link.To_router
+      ~rate_bps:1e6 ~delay_s:0.01 ~buffer_bytes:10_000_000 ()
+  in
+  let delivered = ref 0 in
+  link.Link.deliver <- (fun _ -> incr delivered);
+  let n = 4000 in
+  let pkts =
+    Array.init n (fun _ ->
+        Packet.make ~src:0 ~dst:(Packet.Unicast 1) ~size:500 Payload.Raw)
+  in
+  let send_all lo hi =
+    for i = lo to hi - 1 do
+      ignore (Link.send link pkts.(i))
+    done;
+    Sim.run sim
+  in
+  (* Warm up: grows the FIFOs, the event pool and the scheduler. *)
+  send_all 0 1000;
+  let w0 = Gc.minor_words () in
+  send_all 1000 n;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (n - 1000) in
+  Alcotest.(check int) "all delivered" n !delivered;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per packet <= 8.5" words)
+    true (words <= 8.5)
+
 let suite =
   ( "net",
     [
@@ -314,6 +462,8 @@ let suite =
         test_drop_tail_and_conservation;
       Alcotest.test_case "ecn marking" `Quick test_ecn_marking;
       Alcotest.test_case "shortest path" `Quick test_routing_shortest_path;
+      Alcotest.test_case "equal-cost route tie-break" `Quick
+        test_routes_tie_break;
       Alcotest.test_case "multicast tree & prune" `Quick
         test_multicast_tree_and_prune;
       Alcotest.test_case "multicast branching" `Quick
@@ -324,4 +474,8 @@ let suite =
       Alcotest.test_case "graft_local" `Quick test_graft_local_holds_tree;
       Alcotest.test_case "packet-count buffer" `Quick test_packet_count_buffer;
       Alcotest.test_case "lan repeats" `Quick test_lan_repeats;
+      Alcotest.test_case "saturated link: heap = wheel" `Quick
+        test_saturated_link_backends;
+      Alcotest.test_case "link steady-state words" `Quick
+        test_link_steady_state_words;
     ] )

@@ -240,6 +240,26 @@ let test_escape_exhaustive_controls () =
   Alcotest.(check string) "escape is the unquoted body"
     {|tab\there|} (Json.escape "tab\there")
 
+(* Stopping a monitor must not wait out its pacing interval: with a 60 s
+   interval, [stop] returns at once even while the monitor sleeps.  The
+   short pause lets the monitor domain reach its sleep first. *)
+let test_progress_stop_bounded () =
+  let samples = ref 0 in
+  let p =
+    Mcc_obs.Progress.start ~interval:60. ~total:1
+      ~on_progress:(fun (_ : Mcc_obs.Progress.sample) -> incr samples)
+      ()
+  in
+  Unix.sleepf 0.05;
+  let t0 = Profile.now () in
+  let final = Mcc_obs.Progress.stop p in
+  let waited = Profile.now () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "stop returned in %.3fs (< 0.5s)" waited)
+    true (waited < 0.5);
+  Alcotest.(check bool) "final sample" true final.Mcc_obs.Progress.final;
+  Alcotest.(check int) "only the final sample" 1 !samples
+
 let suite =
   ( "obs",
     [
@@ -265,4 +285,6 @@ let suite =
         test_profile_json_field_order;
       Alcotest.test_case "json control-char escaping" `Quick
         test_escape_exhaustive_controls;
+      Alcotest.test_case "progress stop is bounded" `Quick
+        test_progress_stop_bounded;
     ] )

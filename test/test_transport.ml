@@ -136,9 +136,33 @@ let test_onoff_until () =
   Alcotest.(check bool) "silent after until" true
     (Meter.mean_kbps meter ~lo:4. ~hi:10. < 1.)
 
+(* One mux per node, keyed by identity (node ids restart in every
+   topology), and nothing outside the node keeps it: once a topology is
+   dropped its nodes are collected. *)
+let test_mux_per_node_collectable () =
+  let module Mux = Mcc_transport.Mux in
+  let weak = Weak.create 2 in
+  let build slot =
+    let topo = Topology.create (Sim.create ()) in
+    let host = Topology.add_node topo Node.Host in
+    let mux = Mux.of_node host in
+    Alcotest.(check bool) "same node, same mux" true (Mux.of_node host == mux);
+    Weak.set weak slot (Some host);
+    mux
+  in
+  let m0 = build 0 in
+  let m1 = build 1 in
+  Alcotest.(check bool) "same id in another topology, another mux" false
+    (m0 == m1);
+  Gc.full_major ();
+  Alcotest.(check bool) "finished topologies collected" true
+    (Weak.get weak 0 = None && Weak.get weak 1 = None)
+
 let suite =
   ( "transport",
     [
+      Alcotest.test_case "mux per node, collectable" `Quick
+        test_mux_per_node_collectable;
       Alcotest.test_case "tcp fills pipe" `Quick test_tcp_fills_pipe;
       Alcotest.test_case "tcp loss recovery" `Quick
         test_tcp_losses_trigger_retransmits;
