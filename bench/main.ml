@@ -254,7 +254,9 @@ let ablation_fec () =
           ~bottleneck_rate_bps:500_000. ()
       in
       let session =
-        Mcc_core.Scenario.add_multicast ~fec_scheme:scheme t ~mode:Flid.Robust
+        Mcc_core.Scenario.add_multicast
+          ~tune:(fun c -> { c with Flid.fec_scheme = scheme })
+          t ~mode:Flid.Robust
           ~receivers:[ Mcc_core.Scenario.receiver () ]
           ()
       in
@@ -435,16 +437,17 @@ let protocols () =
       ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let rep =
-    Mcc_core.Scenario.add_replicated t ~mode:Flid.Robust
-      ~receivers:[ Mcc_core.Scenario.receiver () ] ()
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Replicated) t
+      ~mode:Flid.Robust ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let ladder =
-    Mcc_core.Scenario.add_rlm t ~mode:Flid.Robust
-      ~receivers:[ Mcc_core.Scenario.receiver () ] ()
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Rlm) t
+      ~mode:Flid.Robust ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let webrc =
-    Mcc_core.Scenario.add_rlm ~policy:Rlm.Equation t ~mode:Flid.Robust
-      ~receivers:[ Mcc_core.Scenario.receiver () ] ()
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Rlm)
+      ~tune:(fun c -> { c with Rlm.policy = Rlm.Equation })
+      t ~mode:Flid.Robust ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let tcp = Mcc_core.Scenario.add_tcp t in
   let horizon = duration 200. in
@@ -453,9 +456,9 @@ let protocols () =
   let rows =
     [
       ("flid-ds", mean (Flid.receiver_meter (List.hd flid.Mcc_core.Scenario.receivers)));
-      ("replicated", mean (Rep.receiver_meter (List.hd rep.Mcc_core.Scenario.rep_receivers)));
-      ("rlm-ladder", mean (Rlm.receiver_meter (List.hd ladder.Mcc_core.Scenario.rlm_receivers)));
-      ("webrc-equation", mean (Rlm.receiver_meter (List.hd webrc.Mcc_core.Scenario.rlm_receivers)));
+      ("replicated", mean (Rep.receiver_meter (List.hd rep.Mcc_core.Scenario.receivers)));
+      ("rlm-ladder", mean (Rlm.receiver_meter (List.hd ladder.Mcc_core.Scenario.receivers)));
+      ("webrc-equation", mean (Rlm.receiver_meter (List.hd webrc.Mcc_core.Scenario.receivers)));
       ("tcp-reno", mean (Mcc_transport.Tcp.delivered_meter tcp));
     ]
   in
@@ -581,7 +584,8 @@ let oversub () =
       ~bottleneck_rate_bps:1_000_000. ()
   in
   let s =
-    Mcc_core.Scenario.add_oversub t ~mode:Flid.Robust
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Oversub) t
+      ~mode:Flid.Robust
       ~receivers:
         [
           Mcc_core.Scenario.receiver ();
@@ -601,7 +605,7 @@ let oversub () =
            ~lo:(horizon /. 4.) ~hi:horizon)
         (Oversub.mark_ewma r)
         (Oversub.decrease_events r))
-    s.Mcc_core.Scenario.ovs_receivers;
+    s.Mcc_core.Scenario.receivers;
   Format.fprintf fmt "@."
 
 (* Attack-evaluation matrix (reduced grid): two strategies against

@@ -150,19 +150,20 @@ print("profiler smoke ok")
 EOF
 fi
 
-# Attack-matrix smoke: a tiny grid at full duration (containment needs
-# the real horizon), scorecard showing the paper's headline, and the
-# JSONL byte-identical across job counts.
-dune exec bin/mcc.exe -- matrix --attacks inflate --protocols flid \
-  --defences plain,delta+sigma --json /tmp/matrix1.jsonl \
+# Attack-matrix smoke: a small grid at full duration (containment needs
+# the real horizon) over every protocol column, scorecard showing the
+# paper's headline, and the JSONL byte-identical across job counts.
+MATRIX_GRID="--attacks inflate --protocols flid,rlm,replicated,oversub \
+  --defences plain,delta+sigma+ecn"
+dune exec bin/mcc.exe -- matrix $MATRIX_GRID --json /tmp/matrix1.jsonl \
   --out /tmp/scorecard.md --quiet
-dune exec bin/mcc.exe -- matrix --attacks inflate --protocols flid \
-  --defences plain,delta+sigma --jobs 2 --json /tmp/matrix2.jsonl --quiet
+dune exec bin/mcc.exe -- matrix $MATRIX_GRID --jobs 2 \
+  --json /tmp/matrix2.jsonl --quiet
 cmp /tmp/matrix1.jsonl /tmp/matrix2.jsonl
 # ... and byte-identical again on the calendar-queue backend: the
 # scheduler is a performance knob, never a semantics knob.
-dune exec bin/mcc.exe -- matrix --attacks inflate --protocols flid \
-  --defences plain,delta+sigma --sched wheel --json /tmp/matrix3.jsonl --quiet
+dune exec bin/mcc.exe -- matrix $MATRIX_GRID --sched wheel \
+  --json /tmp/matrix3.jsonl --quiet
 cmp /tmp/matrix1.jsonl /tmp/matrix3.jsonl
 test -s /tmp/scorecard.md
 grep -q "BREACH" /tmp/scorecard.md
@@ -244,8 +245,7 @@ test "$(grep -c '^# EOF$' /tmp/metrics.om)" -eq 1
 # Live telemetry is stderr-only observation: forcing the meter on must
 # not change a single sink byte (cmp against the meter-off matrix
 # output above).
-dune exec bin/mcc.exe -- matrix --attacks inflate --protocols flid \
-  --defences plain,delta+sigma --jobs 2 --progress \
+dune exec bin/mcc.exe -- matrix $MATRIX_GRID --jobs 2 --progress \
   --json /tmp/matrix4.jsonl --quiet
 cmp /tmp/matrix1.jsonl /tmp/matrix4.jsonl
 

@@ -6,9 +6,6 @@ module Scenario = Mcc_core.Scenario
 module Defaults = Mcc_core.Defaults
 module Dumbbell = Mcc_core.Dumbbell
 module Flid = Mcc_mcast.Flid
-module Rlm = Mcc_mcast.Rlm_like
-module Rep = Mcc_mcast.Replicated_proto
-module Oversub = Mcc_mcast.Oversub
 module Router_agent = Mcc_sigma.Router_agent
 module Tcp = Mcc_transport.Tcp
 module Meter = Mcc_util.Meter
@@ -115,119 +112,54 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     in
     Strategy.bare_meter bare
   in
-  let flid_slot =
-    match mode with
-    | Flid.Plain -> Defaults.flid_dl_slot
-    | Flid.Robust -> Defaults.flid_ds_slot
+  let (module P) = Spec.protocol_impl protocol in
+  let session receivers =
+    Scenario.add_session (module P) t ~mode ?receiver_mode ~receivers ()
   in
   (* Session A plus its adversary; returns the attacker-side meters. *)
   let attacker_meters =
-    match protocol with
-    | Spec.Flid_ds -> (
-        match attack with
-        | Spec.Grace_churn _ ->
-            let a =
-              Scenario.add_multicast t ~mode ?receiver_mode
-                ~receivers:[ Scenario.receiver () ] ()
-            in
-            [
-              launch_bare
-                ~groups:
-                  (List.init Defaults.groups (fun g ->
-                       Flid.group_addr a.Scenario.config (g + 1)))
-                ~slot_duration:a.Scenario.config.Flid.slot_duration ();
-            ]
-        | Spec.Collusion { colluders } ->
-            (* One honest session member is the accomplice; the
-               colluders are free-riding hosts replaying its key
-               submissions from their own interfaces (just IGMP joiners
-               where the edge does not enforce keys). *)
-            let a =
-              Scenario.add_multicast t ~mode ?receiver_mode
-                ~receivers:[ Scenario.receiver () ] ()
-            in
-            let accomplice = List.hd a.Scenario.receivers in
-            let groups =
-              List.init Defaults.groups (fun g ->
-                  Flid.group_addr a.Scenario.config (g + 1))
-            in
-            List.init colluders (fun _ ->
-                launch_bare
-                  ~feed:(fun () -> Flid.receiver_history accomplice)
-                  ~groups ~slot_duration:a.Scenario.config.Flid.slot_duration
-                  ())
-        | Spec.Persistent_inflation | Spec.Pulse_inflation _
-        | Spec.Key_guessing _ | Spec.Stale_replay _ ->
-            let a =
-              Scenario.add_multicast t ~mode ?receiver_mode
-                ~receivers:[ member_receiver flid_slot ] ()
-            in
-            [ Flid.receiver_meter (List.hd a.Scenario.receivers) ])
-    | Spec.Rlm_threshold ->
+    match (protocol, attack) with
+    | ( Spec.Flid_ds,
+        ( Spec.Persistent_inflation | Spec.Pulse_inflation _
+        | Spec.Key_guessing _ | Spec.Stale_replay _ ) ) ->
         let a =
-          Scenario.add_rlm t ~mode ?receiver_mode
+          Scenario.add_multicast t ~mode ?receiver_mode
+            ~receivers:[ member_receiver (Flid.default_slot mode) ] ()
+        in
+        [ Flid.receiver_meter (List.hd a.Scenario.receivers) ]
+    | Spec.Flid_ds, Spec.Collusion { colluders } ->
+        (* One honest session member is the accomplice; the colluders
+           are free-riding hosts replaying its key submissions from
+           their own interfaces (just IGMP joiners where the edge does
+           not enforce keys). *)
+        let a =
+          Scenario.add_multicast t ~mode ?receiver_mode
             ~receivers:[ Scenario.receiver () ] ()
         in
+        let accomplice = List.hd a.Scenario.receivers in
+        let groups =
+          List.init Defaults.groups (fun g ->
+              Flid.group_addr a.Scenario.config (g + 1))
+        in
+        List.init colluders (fun _ ->
+            launch_bare
+              ~feed:(fun () -> Flid.receiver_history accomplice)
+              ~groups ~slot_duration:a.Scenario.config.Flid.slot_duration ())
+    | Spec.Flid_ds, Spec.Grace_churn _
+    | (Spec.Rlm_threshold | Spec.Replicated | Spec.Oversub), _ ->
+        let a = session [ Scenario.receiver () ] in
         [
           launch_bare
             ~groups:
               (List.init Defaults.groups (fun g ->
-                   Rlm.group_addr a.Scenario.rlm_config (g + 1)))
-            ~slot_duration:a.Scenario.rlm_config.Rlm.slot_duration ();
-        ]
-    | Spec.Replicated ->
-        let a =
-          Scenario.add_replicated t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        [
-          launch_bare
-            ~groups:
-              (List.init Defaults.groups (fun g ->
-                   Rep.group_addr a.Scenario.rep_config (g + 1)))
-            ~slot_duration:a.Scenario.rep_config.Rep.slot_duration ();
-        ]
-    | Spec.Oversub ->
-        let a =
-          Scenario.add_oversub t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        [
-          launch_bare
-            ~groups:
-              (List.init Defaults.groups (fun g ->
-                   Oversub.group_addr a.Scenario.ovs_config (g + 1)))
-            ~slot_duration:
-              a.Scenario.ovs_config.Oversub.flid.Flid.slot_duration ();
+                   P.group_addr a.Scenario.config (g + 1)))
+            ~slot_duration:(P.slot_duration a.Scenario.config) ();
         ]
   in
   (* Session B: the honest victim whose goodput measures the damage. *)
   let victim_meter =
-    match protocol with
-    | Spec.Flid_ds ->
-        let b =
-          Scenario.add_multicast t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Flid.receiver_meter (List.hd b.Scenario.receivers)
-    | Spec.Rlm_threshold ->
-        let b =
-          Scenario.add_rlm t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Rlm.receiver_meter (List.hd b.Scenario.rlm_receivers)
-    | Spec.Replicated ->
-        let b =
-          Scenario.add_replicated t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Rep.receiver_meter (List.hd b.Scenario.rep_receivers)
-    | Spec.Oversub ->
-        let b =
-          Scenario.add_oversub t ~mode ?receiver_mode
-            ~receivers:[ Scenario.receiver () ] ()
-        in
-        Oversub.receiver_meter (List.hd b.Scenario.ovs_receivers)
+    let b = session [ Scenario.receiver () ] in
+    P.receiver_meter (List.hd b.Scenario.receivers)
   in
   let tcp = Scenario.add_tcp t in
   Scenario.run t ~seconds:duration;
@@ -293,7 +225,7 @@ let default_attacks =
 (* Derived from the Spec registry so a protocol added there shows up as
    a matrix column (and a scorecard heading) without touching this
    file. *)
-let default_protocols = List.map (fun (p, _, _) -> p) Spec.protocols
+let default_protocols = List.map (fun r -> r.Spec.tag) Spec.protocols
 
 let default_defences =
   [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma; Spec.Delta_sigma_ecn ]

@@ -6,8 +6,8 @@ let groups = 10
 let min_rate_bps = 100_000.
 let rate_factor = 1.5
 let packet_size = 576
-let flid_dl_slot = 0.5
-let flid_ds_slot = 0.25
+let flid_dl_slot = Mcc_mcast.Flid.default_slot Mcc_mcast.Flid.Plain
+let flid_ds_slot = Mcc_mcast.Flid.default_slot Mcc_mcast.Flid.Robust
 let key_width = 16
 
 let layering () =

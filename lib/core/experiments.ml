@@ -295,7 +295,8 @@ let run_overhead (p : Spec.overhead_params) =
   (* The overhead analysis uses 500-byte (s = 4000 bits) data packets. *)
   let packet_size = 500 in
   let session =
-    Scenario.add_multicast t ~mode:Flid.Robust ~slot ~layering ~packet_size
+    Scenario.add_multicast t ~mode:Flid.Robust ~slot ~layering
+      ~tune:(fun c -> { c with Flid.packet_size })
       ~receivers:[ Scenario.receiver () ]
       ()
   in

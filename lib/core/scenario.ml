@@ -21,11 +21,7 @@ let receiver ?(at = 0.) ?(behavior = Flid.Well_behaved) ?access_delay_s
     ?access_rate_bps () =
   { start_at = at; behavior; access_delay_s; access_rate_bps }
 
-type session = {
-  config : Flid.config;
-  sender : Flid.sender;
-  receivers : Flid.receiver list;
-}
+type ('c, 's, 'r) session = { config : 'c; sender : 's; receivers : 'r list }
 
 type t = {
   sim : Sim.t;
@@ -127,38 +123,29 @@ let ensure_agent t =
         t.agent <- Some agent;
         Some agent
 
-let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
+let add_session (type c s r)
+    (module P : Mcc_mcast.Protocol.S
+      with type config = c
+       and type sender = s
+       and type receiver = r) ?slot ?layering ?(tune = Fun.id) ?receiver_mode t
     ~mode ~receivers () =
   let layering = match layering with Some l -> l | None -> Defaults.layering () in
-  let slot =
-    match slot with
-    | Some s -> s
-    | None -> (
-        match mode with
-        | Flid.Plain -> Defaults.flid_dl_slot
-        | Flid.Robust -> Defaults.flid_ds_slot)
-  in
+  let slot = match slot with Some s -> s | None -> P.default_slot mode in
   (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
   let id = t.next_session in
   t.next_session <- id + 1;
   let base_group = t.next_base_group in
   t.next_base_group <- base_group + layering.Layering.groups;
   let config =
-    Flid.make_config ?fec_scheme ?packet_size ~id ~base_group ~layering
-      ~slot_duration:slot ~mode ()
+    tune (P.configure ~id ~base_group ~layering ~slot_duration:slot ~mode)
   in
   let sender_host = Dumbbell.add_sender t.db in
   let sender =
-    Flid.sender_start t.db.Dumbbell.topo ~node:sender_host
+    P.sender_start t.db.Dumbbell.topo ~node:sender_host
       ~prng:(Prng.split t.prng) config
   in
-  (* [receiver_mode] models receivers behind a legacy edge: a Plain-mode
-     receiver of a Robust session falls back to IGMP control while the
-     sender still pays the DELTA/SIGMA overhead (paper Section 3.2.3). *)
   let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Flid.mode = m }
-    | None -> config
+    match receiver_mode with Some m -> P.with_mode config m | None -> config
   in
   let receivers =
     List.map
@@ -167,139 +154,13 @@ let add_multicast ?slot ?layering ?fec_scheme ?packet_size ?receiver_mode t
           Dumbbell.add_receiver ?delay_s:spec.access_delay_s
             ?rate_bps:spec.access_rate_bps t.db
         in
-        Flid.receiver_start ~at:spec.start_at ~behavior:spec.behavior
+        P.receiver_start ~at:spec.start_at ~behavior:spec.behavior
           t.db.Dumbbell.topo ~host ~prng:(Prng.split t.prng) receiver_config)
       receivers
   in
   { config; sender; receivers }
 
-type replicated_session = {
-  rep_config : Mcc_mcast.Replicated_proto.config;
-  rep_sender : Mcc_mcast.Replicated_proto.sender;
-  rep_receivers : Mcc_mcast.Replicated_proto.receiver list;
-}
-
-let fresh_session t ~groups =
-  let id = t.next_session in
-  t.next_session <- id + 1;
-  let base_group = t.next_base_group in
-  t.next_base_group <- base_group + groups;
-  (id, base_group)
-
-let add_replicated ?slot ?layering ?receiver_mode t ~mode ~receivers () =
-  let module Rep = Mcc_mcast.Replicated_proto in
-  let layering =
-    match layering with Some l -> l | None -> Defaults.layering ()
-  in
-  let slot = Option.value slot ~default:Defaults.flid_ds_slot in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
-  let config =
-    Rep.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-  in
-  let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Rep.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Rep.mode = m }
-    | None -> config
-  in
-  let rep_receivers =
-    List.map
-      (fun spec ->
-        let host =
-          Dumbbell.add_receiver ?delay_s:spec.access_delay_s
-            ?rate_bps:spec.access_rate_bps t.db
-        in
-        Rep.receiver_start ~at:spec.start_at ~behavior:spec.behavior
-          t.db.Dumbbell.topo ~host ~prng:(Prng.split t.prng) receiver_config)
-      receivers
-  in
-  { rep_config = config; rep_sender = sender; rep_receivers }
-
-type rlm_session = {
-  rlm_config : Mcc_mcast.Rlm_like.config;
-  rlm_sender : Mcc_mcast.Rlm_like.sender;
-  rlm_receivers : Mcc_mcast.Rlm_like.receiver list;
-}
-
-let add_rlm ?slot ?layering ?policy ?receiver_mode t ~mode ~receivers () =
-  let module Rlm = Mcc_mcast.Rlm_like in
-  let layering =
-    match layering with Some l -> l | None -> Defaults.layering ()
-  in
-  let slot = Option.value slot ~default:Defaults.flid_ds_slot in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
-  let config =
-    Rlm.make_config ?policy ~id ~base_group ~layering ~slot_duration:slot
-      ~mode ()
-  in
-  let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Rlm.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Rlm.mode = m }
-    | None -> config
-  in
-  let rlm_receivers =
-    List.map
-      (fun spec ->
-        let host =
-          Dumbbell.add_receiver ?delay_s:spec.access_delay_s
-            ?rate_bps:spec.access_rate_bps t.db
-        in
-        Rlm.receiver_start ~at:spec.start_at t.db.Dumbbell.topo ~host
-          ~prng:(Prng.split t.prng) receiver_config)
-      receivers
-  in
-  { rlm_config = config; rlm_sender = sender; rlm_receivers }
-
-type oversub_session = {
-  ovs_config : Mcc_mcast.Oversub.config;
-  ovs_sender : Mcc_mcast.Oversub.sender;
-  ovs_receivers : Mcc_mcast.Oversub.receiver list;
-}
-
-let add_oversub ?slot ?layering ?receiver_mode t ~mode ~receivers () =
-  let module Ovs = Mcc_mcast.Oversub in
-  let layering =
-    match layering with Some l -> l | None -> Defaults.layering ()
-  in
-  let slot = Option.value slot ~default:Defaults.flid_ds_slot in
-  (match mode with Flid.Robust -> ignore (ensure_agent t) | Flid.Plain -> ());
-  let id, base_group = fresh_session t ~groups:layering.Layering.groups in
-  let config =
-    Ovs.make_config ~id ~base_group ~layering ~slot_duration:slot ~mode ()
-  in
-  let sender_host = Dumbbell.add_sender t.db in
-  let sender =
-    Ovs.sender_start t.db.Dumbbell.topo ~node:sender_host
-      ~prng:(Prng.split t.prng) config
-  in
-  let receiver_config =
-    match receiver_mode with
-    | Some m -> { config with Ovs.flid = { config.Ovs.flid with Flid.mode = m } }
-    | None -> config
-  in
-  let ovs_receivers =
-    List.map
-      (fun spec ->
-        let host =
-          Dumbbell.add_receiver ?delay_s:spec.access_delay_s
-            ?rate_bps:spec.access_rate_bps t.db
-        in
-        Ovs.receiver_start ~at:spec.start_at t.db.Dumbbell.topo ~host
-          ~prng:(Prng.split t.prng) receiver_config)
-      receivers
-  in
-  { ovs_config = config; ovs_sender = sender; ovs_receivers }
+let add_multicast = add_session (module Mcc_mcast.Protocol.Flid_ds)
 
 let add_tcp ?(at = 0.) t =
   t.tcp_flows <- t.tcp_flows + 1;

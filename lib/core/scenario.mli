@@ -1,5 +1,5 @@
-(** Scenario builder: composes a dumbbell, multicast sessions (FLID-DL
-    or FLID-DS), TCP and CBR cross traffic, and the SIGMA edge-router
+(** Scenario builder: composes a dumbbell, multicast sessions of any
+    protocol in {!Mcc_mcast.Protocol}, TCP and CBR cross traffic, and the SIGMA edge-router
     agent, then runs the simulation.
 
     Everything stochastic draws from a single seed, so a scenario is a
@@ -16,11 +16,7 @@ type receiver_spec = {
 val receiver : ?at:float -> ?behavior:Mcc_mcast.Flid.behavior ->
   ?access_delay_s:float -> ?access_rate_bps:float -> unit -> receiver_spec
 
-type session = {
-  config : Mcc_mcast.Flid.config;
-  sender : Mcc_mcast.Flid.sender;
-  receivers : Mcc_mcast.Flid.receiver list;
-}
+type ('c, 's, 'r) session = { config : 'c; sender : 's; receivers : 'r list }
 
 type t
 
@@ -61,82 +57,42 @@ val delta_transform :
     builders over generated topologies ([Mcc_workload]) can install the
     same scrubber on every edge agent; one PRNG per agent. *)
 
+val add_session :
+  (module Mcc_mcast.Protocol.S
+     with type config = 'c
+      and type sender = 's
+      and type receiver = 'r) ->
+  ?slot:float ->
+  ?layering:Mcc_mcast.Layering.t ->
+  ?tune:('c -> 'c) ->
+  ?receiver_mode:Mcc_mcast.Flid.mode ->
+  t ->
+  mode:Mcc_mcast.Flid.mode ->
+  receivers:receiver_spec list ->
+  unit ->
+  ('c, 's, 'r) session
+(** Adds a sender host on the left, one receiver host per spec on the
+    right, and starts the protocol; every session shares the one SIGMA
+    agent.  The slot duration defaults to the protocol's
+    [default_slot mode] (paper Section 5.1 for FLID: 500 ms FLID-DL,
+    250 ms FLID-DS).  [tune] edits the protocol's default configuration
+    before anything starts (a packet size, an FEC scheme, an RLM
+    policy...).  [receiver_mode] overrides the mode receivers run in:
+    Plain receivers of a Robust session model hosts behind a legacy
+    edge that still drive subscriptions over IGMP. *)
+
 val add_multicast :
   ?slot:float ->
   ?layering:Mcc_mcast.Layering.t ->
-  ?fec_scheme:Mcc_sigma.Fec.scheme ->
-  ?packet_size:int ->
+  ?tune:(Mcc_mcast.Flid.config -> Mcc_mcast.Flid.config) ->
   ?receiver_mode:Mcc_mcast.Flid.mode ->
   t ->
   mode:Mcc_mcast.Flid.mode ->
   receivers:receiver_spec list ->
   unit ->
+  (Mcc_mcast.Flid.config, Mcc_mcast.Flid.sender, Mcc_mcast.Flid.receiver)
   session
-(** Adds a sender host on the left, one receiver host per spec on the
-    right, and starts the protocol.  Default slot duration: 500 ms for
-    FLID-DL, 250 ms for FLID-DS (paper Section 5.1).  [receiver_mode]
-    overrides the mode receivers run in: Plain receivers of a Robust
-    session model hosts behind a legacy edge that still drive
-    subscriptions over IGMP. *)
-
-type replicated_session = {
-  rep_config : Mcc_mcast.Replicated_proto.config;
-  rep_sender : Mcc_mcast.Replicated_proto.sender;
-  rep_receivers : Mcc_mcast.Replicated_proto.receiver list;
-}
-
-val add_replicated :
-  ?slot:float ->
-  ?layering:Mcc_mcast.Layering.t ->
-  ?receiver_mode:Mcc_mcast.Flid.mode ->
-  t ->
-  mode:Mcc_mcast.Flid.mode ->
-  receivers:receiver_spec list ->
-  unit ->
-  replicated_session
-(** A replicated-multicast session (paper Fig. 5 instantiation) on the
-    same dumbbell; shares the SIGMA agent with any FLID-DS session. *)
-
-type rlm_session = {
-  rlm_config : Mcc_mcast.Rlm_like.config;
-  rlm_sender : Mcc_mcast.Rlm_like.sender;
-  rlm_receivers : Mcc_mcast.Rlm_like.receiver list;
-}
-
-val add_rlm :
-  ?slot:float ->
-  ?layering:Mcc_mcast.Layering.t ->
-  ?policy:Mcc_mcast.Rlm_like.policy ->
-  ?receiver_mode:Mcc_mcast.Flid.mode ->
-  t ->
-  mode:Mcc_mcast.Flid.mode ->
-  receivers:receiver_spec list ->
-  unit ->
-  rlm_session
-(** A threshold-protocol session (RLM-like; [policy] picks the ladder or
-    the WEBRC-style equation receiver).  Receiver behaviours in the
-    specs are ignored: only well-behaved threshold receivers are
-    modelled. *)
-
-type oversub_session = {
-  ovs_config : Mcc_mcast.Oversub.config;
-  ovs_sender : Mcc_mcast.Oversub.sender;
-  ovs_receivers : Mcc_mcast.Oversub.receiver list;
-}
-
-val add_oversub :
-  ?slot:float ->
-  ?layering:Mcc_mcast.Layering.t ->
-  ?receiver_mode:Mcc_mcast.Flid.mode ->
-  t ->
-  mode:Mcc_mcast.Flid.mode ->
-  receivers:receiver_spec list ->
-  unit ->
-  oversub_session
-(** An oversubscribed-CC session (EWMA of the ECN mark fraction) on the
-    same dumbbell.  It shares FLID's wire format, so the agent's ECN
-    scrubber applies unchanged.  Receiver behaviours in the specs are
-    ignored: attacks on this protocol are mounted as bare attackers. *)
+(** {!add_session} for FLID-DL / FLID-DS. *)
 
 val add_tcp : ?at:float -> t -> Mcc_transport.Tcp.t
 (** One TCP Reno flow left to right; returns the flow (its meter gives

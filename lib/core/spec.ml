@@ -166,25 +166,34 @@ let attack_str = function
   | Grace_churn _ -> "churn"
   | Collusion _ -> "collude"
 
+type registration = {
+  tag : protocol;
+  short : string;
+  heading : string;
+  impl : (module Mcc_mcast.Protocol.S);
+}
+
 (* The protocol registry: every scheme the matrix can run, with its CLI
-   short name and scorecard column heading.  Matrix columns, scorecard
-   headings and CLI parsing all derive from this single list, so adding
-   a protocol here is all it takes to grow the matrix. *)
+   short name, scorecard column heading and implementation.  Matrix
+   columns, scorecard headings, CLI parsing and every session builder
+   derive from this single list, so adding a protocol here is all it
+   takes to grow the matrix. *)
 let protocols =
   [
-    (Flid_ds, "flid", "FLID-DS (layered, XOR keys)");
-    (Rlm_threshold, "rlm", "RLM-like (threshold keys)");
-    (Replicated, "replicated", "Replicated streams");
-    (Oversub, "oversub", "Oversub (ECN-EWMA layered)");
+    { tag = Flid_ds; short = "flid"; heading = "FLID-DS (layered, XOR keys)";
+      impl = (module Mcc_mcast.Protocol.Flid_ds) };
+    { tag = Rlm_threshold; short = "rlm"; heading = "RLM-like (threshold keys)";
+      impl = (module Mcc_mcast.Protocol.Rlm) };
+    { tag = Replicated; short = "replicated"; heading = "Replicated streams";
+      impl = (module Mcc_mcast.Protocol.Replicated) };
+    { tag = Oversub; short = "oversub"; heading = "Oversub (ECN-EWMA layered)";
+      impl = (module Mcc_mcast.Protocol.Oversub) };
   ]
 
-let protocol_str p =
-  let _, s, _ = List.find (fun (q, _, _) -> q = p) protocols in
-  s
-
-let protocol_heading p =
-  let _, _, h = List.find (fun (q, _, _) -> q = p) protocols in
-  h
+let registration p = List.find (fun r -> r.tag = p) protocols
+let protocol_str p = (registration p).short
+let protocol_heading p = (registration p).heading
+let protocol_impl p = (registration p).impl
 
 let defence_str = function
   | Undefended -> "plain"

@@ -230,12 +230,22 @@ val default_workload : workload_params
 val attack_str : attack_kind -> string
 (** "inflate", "pulse", "guess", "replay", "churn" or "collude". *)
 
-val protocols : (protocol * string * string) list
-(** The protocol registry: (variant, CLI short name, scorecard column
-    heading), in matrix column order.  {!protocol_str},
-    {!protocol_heading}, the matrix's default protocol set and the CLI
-    [--protocols] parser all derive from this list, so registering a
-    protocol here is the only step needed to add a matrix column. *)
+type registration = {
+  tag : protocol;
+  short : string;  (** CLI short name *)
+  heading : string;  (** scorecard column heading *)
+  impl : (module Mcc_mcast.Protocol.S);
+      (** the implementation every session builder dispatches through *)
+}
+
+val protocols : registration list
+(** The protocol registry, in matrix column order.  {!protocol_str},
+    {!protocol_heading}, {!protocol_impl}, the matrix's default
+    protocol set and the CLI [--protocols] parser all derive from this
+    list, so registering a protocol here is the only step needed to add
+    a matrix column and a workload protocol. *)
+
+val protocol_impl : protocol -> (module Mcc_mcast.Protocol.S)
 
 val protocol_str : protocol -> string
 (** "flid", "rlm", "replicated" or "oversub". *)

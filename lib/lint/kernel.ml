@@ -82,10 +82,8 @@ let rule_doc = function
        function marked [@hot]; the engine's hot loops are \
        allocation-free by contract"
   | Registry_exhaustive ->
-      "[typed] a catch-all pattern over the Spec.protocol registry type, \
-       or a registry consumer that neither derives from Spec.protocols \
-       nor names every constructor; new protocols must reach every \
-       dispatch"
+      "[typed] a catch-all pattern over the Spec.protocol registry type; \
+       new protocols must reach every dispatch"
 
 type finding = {
   rule : rule;
@@ -97,28 +95,12 @@ type finding = {
 
 type allow_entry = { allow_rule : rule; allow_path : string }
 
-type registry_check = {
-  reg_def : string;
-  reg_type : string;
-  reg_accessors : string list;
-  reg_consumers : string list;
-}
+type registry_check = { reg_def : string; reg_type : string }
 
-(* The Spec.protocols registry (PR 9): matrix dispatch, workload schema,
-   Build.run dispatch and the scorecard headings must each track it. *)
+(* The Spec.protocols registry: its variant type must not be matched
+   with a catch-all. *)
 let default_registry =
-  {
-    reg_def = "lib/core/spec.ml";
-    reg_type = "protocol";
-    reg_accessors = [ "protocols"; "protocol_str"; "protocol_heading" ];
-    reg_consumers =
-      [
-        "lib/attack/matrix.ml";
-        "lib/attack/scorecard.ml";
-        "lib/workload/schema.ml";
-        "lib/workload/build.ml";
-      ];
-  }
+  { reg_def = "lib/core/spec.ml"; reg_type = "protocol" }
 
 type config = {
   rules : rule list;

@@ -44,16 +44,10 @@ type allow_entry = {
 type registry_check = {
   reg_def : string;  (** the [.ml] defining the registry, root-relative *)
   reg_type : string;  (** the variant type name, e.g. [protocol] *)
-  reg_accessors : string list;
-      (** value names in the defining module whose use counts as
-          deriving from the registry *)
-  reg_consumers : string list;
-      (** files that must handle every registry entry *)
 }
 
 val default_registry : registry_check
-(** [Spec.protocols] and its four consumers (matrix dispatch, scorecard
-    headings, workload schema, workload Build.run dispatch). *)
+(** [Spec.protocol] in [lib/core/spec.ml]. *)
 
 type config = {
   rules : rule list;  (** enabled rules *)

@@ -49,8 +49,6 @@ type allow_entry = Kernel.allow_entry = {
 type registry_check = Kernel.registry_check = {
   reg_def : string;
   reg_type : string;
-  reg_accessors : string list;
-  reg_consumers : string list;
 }
 
 type config = Kernel.config = {

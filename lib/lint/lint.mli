@@ -66,11 +66,9 @@
       scheduler backends, [Link], the packet pool) declare themselves
       [[@hot]] and are allocation-free by contract.
     - [registry-exhaustive]: a catch-all pattern in a multi-case match
-      over the {!Mcc_core.Spec.protocol} registry type, or a registered
-      consumer file that neither references a registry accessor
-      ([Spec.protocols], [Spec.protocol_str], [Spec.protocol_heading])
-      nor names every constructor.  Consumer findings attach to line 1
-      of the consumer file.
+      over the {!Mcc_core.Spec.protocol} registry type.  (Dispatch
+      itself goes through the registry's first-class protocol modules,
+      so no consumer can fall out of sync with it.)
 
     {2 Suppression}
 
@@ -79,8 +77,8 @@
     {[ (* lint: allow <rule-id> — justification *) ]}
 
     placed on the same line as the finding or on the line directly
-    above it ([mli-coverage] and registry-consumer findings attach to
-    line 1, so a pragma on the file's first line suppresses them), or
+    above it ([mli-coverage] findings attach to line 1, so a pragma on
+    the file's first line suppresses them), or
     by an entry in an allowlist file: one [<rule-id> <path>] pair per
     line, [#] comments, where a path ending in [/] matches as a prefix.
     Paths are normalised by dropping [.] and [..] segments before
@@ -127,16 +125,10 @@ type allow_entry = Kernel.allow_entry = {
 type registry_check = Kernel.registry_check = {
   reg_def : string;  (** the [.ml] defining the registry, root-relative *)
   reg_type : string;  (** the variant type name, e.g. [protocol] *)
-  reg_accessors : string list;
-      (** value names in the defining module whose use counts as
-          deriving from the registry *)
-  reg_consumers : string list;
-      (** files that must handle every registry entry *)
 }
 
 val default_registry : registry_check
-(** [Spec.protocols] and its four consumers (matrix dispatch, scorecard
-    headings, workload schema, workload [Build.run] dispatch). *)
+(** [Spec.protocol] in [lib/core/spec.ml]. *)
 
 type config = Kernel.config = {
   rules : rule list;  (** enabled rules *)

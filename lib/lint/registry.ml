@@ -1,22 +1,15 @@
 (* registry-exhaustive: the Spec.protocols registry must reach every
    dispatch.
 
-   Two complementary checks, both over the Typedtree so the registry
-   type is identified by its resolved path rather than by name
-   coincidence:
-
-   - catch-all: in any match/function with two or more cases whose
-     patterns have the registry type, a catch-all case (_, a variable,
-     an alias or or-pattern reducing to one) silently swallows future
-     registry entries — the whole point of a variant registry is that
-     adding a constructor breaks every dispatch at compile time.
-
-   - consumer completeness: each registered consumer file must either
-     reference one of the registry's accessor values (deriving its
-     behaviour from Spec.protocols and friends, which track the
-     registry by construction) or name every constructor itself.  The
-     finding attaches to line 1 of the consumer, so a line-1 pragma
-     can suppress it if a consumer is ever intentionally partial. *)
+   In any match/function with two or more cases whose patterns have the
+   registry type, a catch-all case (_, a variable, an alias or
+   or-pattern reducing to one) silently swallows future registry
+   entries — the whole point of a variant registry is that adding a
+   constructor breaks every dispatch at compile time.  The check runs
+   over the Typedtree, so the registry type is identified by its
+   resolved path rather than by name coincidence.  (Builders dispatch
+   through the registry's first-class protocol modules, so there is no
+   per-consumer completeness left to police.) *)
 
 open Typedtree
 
@@ -125,79 +118,3 @@ let check_catch_all ~path ~registry str =
   let it = { default with expr } in
   it.structure it str;
   List.rev !findings
-
-(* Constructor names of the registry variant, from the defining file's
-   typed tree. *)
-let constructors ~registry str =
-  let found = ref [] in
-  let default = Tast_iterator.default_iterator in
-  let type_declaration _it (td : type_declaration) =
-    if String.equal td.typ_name.Asttypes.txt registry.Kernel.reg_type then
-      match td.typ_kind with
-      | Ttype_variant cds ->
-          found := List.map (fun cd -> cd.cd_name.Asttypes.txt) cds
-      | _ -> ()
-  in
-  let it = { default with type_declaration } in
-  it.structure it str;
-  !found
-
-let check_consumer ~path ~registry ~ctors str =
-  let accessor_used = ref false in
-  let mentioned = Hashtbl.create 16 in
-  let dm = def_module registry in
-  let note_accessor name =
-    List.iter
-      (fun acc ->
-        if
-          String.ends_with ~suffix:("." ^ acc) name
-          && String.equal
-               (seg_last
-                  (String.sub name 0
-                     (String.length name - String.length acc - 1)))
-               dm
-        then accessor_used := true)
-      registry.Kernel.reg_accessors
-  in
-  let note_ctor (cd : Types.constructor_description) =
-    match Types.get_desc cd.cstr_res with
-    | Types.Tconstr (tp, _, _) when is_registry_type ~in_def:false registry tp
-      ->
-        Hashtbl.replace mentioned cd.cstr_name ()
-    | _ -> ()
-  in
-  let default = Tast_iterator.default_iterator in
-  let expr it (e : expression) =
-    (match e.exp_desc with
-    | Texp_ident (p, _, _) -> note_accessor (Path.name p)
-    | Texp_construct (_, cd, _) -> note_ctor cd
-    | _ -> ());
-    default.expr it e
-  in
-  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
-   fun it p ->
-    (match p.pat_desc with
-    | Tpat_construct (_, cd, _, _) -> note_ctor cd
-    | _ -> ());
-    default.pat it p
-  in
-  let it = { default with expr; pat } in
-  it.structure it str;
-  if !accessor_used then []
-  else
-    let missing =
-      List.filter (fun c -> not (Hashtbl.mem mentioned c)) ctors
-    in
-    if missing = [] then []
-    else
-      [
-        finding ~path ~line:1 ~col:0
-          (Printf.sprintf
-             "registry consumer neither references %s.%s nor names every %s \
-              constructor (missing: %s); new registry entries would silently \
-              skip this dispatch"
-             dm
-             (String.concat "/" registry.Kernel.reg_accessors)
-             registry.Kernel.reg_type
-             (String.concat ", " missing));
-      ]

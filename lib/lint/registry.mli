@@ -1,29 +1,9 @@
 (** [registry-exhaustive]: the protocol registry must reach every
-    dispatch.
-
-    Per-file: {!check_catch_all} flags catch-all patterns in multi-case
-    matches whose patterns have the registry type.  Cross-file:
-    {!constructors} extracts the variant's constructor names from the
-    defining file's typed tree, and {!check_consumer} verifies a
-    consumer either references a registry accessor
-    ([Spec.protocols] & co.) or names every constructor; its finding
-    attaches to line 1 of the consumer so a line-1 pragma can suppress
-    an intentionally partial consumer. *)
+    dispatch.  {!check_catch_all} flags catch-all patterns in
+    multi-case matches whose patterns have the registry type. *)
 
 val check_catch_all :
   path:string ->
   registry:Kernel.registry_check ->
-  Typedtree.structure ->
-  Kernel.finding list
-
-val constructors :
-  registry:Kernel.registry_check -> Typedtree.structure -> string list
-(** Constructor names of the registry variant; [[]] when the defining
-    file declares no variant of that name. *)
-
-val check_consumer :
-  path:string ->
-  registry:Kernel.registry_check ->
-  ctors:string list ->
   Typedtree.structure ->
   Kernel.finding list

@@ -5,24 +5,13 @@
    cannot be found degrades gracefully: it is recorded in [t_missing]
    (surfaced in the report and the JSON output) and the file is still
    covered by the syntactic stage — the typed stage reports, it never
-   fails the run by itself.
-
-   The registry consumer check is the one cross-file rule: it needs
-   the registry definition's .cmt (for the constructor list) plus each
-   consumer's.  It only runs for consumers that are part of this lint
-   invocation, so linting a subtree never complains about files it was
-   not asked to look at. *)
+   fails the run by itself. *)
 
 type result = {
   t_findings : Kernel.finding list;
   t_loaded : int;
   t_missing : (string * string) list;
 }
-
-let file_matches ~file ~target =
-  let file = Kernel.normalize_path file in
-  let target = Kernel.normalize_path target in
-  String.equal file target || String.ends_with ~suffix:("/" ^ target) file
 
 let run (config : Kernel.config) files =
   let enabled r = List.mem r config.Kernel.rules in
@@ -50,36 +39,6 @@ let run (config : Kernel.config) files =
                   ~registry:config.Kernel.registry str
                 @ !findings)
       ml_files;
-    if enabled Kernel.Registry_exhaustive then begin
-      let registry = config.Kernel.registry in
-      let consumers_here =
-        List.filter
-          (fun file ->
-            List.exists
-              (fun c -> file_matches ~file ~target:c)
-              registry.Kernel.reg_consumers)
-          ml_files
-      in
-      if consumers_here <> [] then begin
-        match Cmt_index.lookup index registry.Kernel.reg_def with
-        | Error reason ->
-            missing := (registry.Kernel.reg_def, reason) :: !missing
-        | Ok def_str -> (
-            match Registry.constructors ~registry def_str with
-            | [] -> ()
-            | ctors ->
-                List.iter
-                  (fun file ->
-                    match Cmt_index.lookup index file with
-                    | Error _ -> () (* already recorded above *)
-                    | Ok str ->
-                        findings :=
-                          Registry.check_consumer ~path:file ~registry ~ctors
-                            str
-                          @ !findings)
-                  consumers_here)
-      end
-    end;
     {
       t_findings = !findings;
       t_loaded = Cmt_index.loaded index;

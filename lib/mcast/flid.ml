@@ -63,6 +63,8 @@ let make_config ?(packet_size = 576) ?(width = Key.default_width)
 
 let group_addr config g = config.base_group + g - 1
 
+let default_slot = function Plain -> 0.5 | Robust -> 0.25
+
 type Payload.t +=
   | Data of {
       session : int;
@@ -80,8 +82,6 @@ let () =
           (if last then " last" else "");
         true
     | _ -> false)
-
-let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
 
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
@@ -128,15 +128,6 @@ let sender_stop s =
   match s.s_tick with Some h -> Sim.cancel h | None -> ()
 
 let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
-
-let upgrade_mask config slot =
-  let n = config.layering.Layering.groups in
-  let mask = ref 0 in
-  for g = 2 to n do
-    if (slot + g) mod config.upgrade_period g = 0 then
-      mask := !mask lor (1 lsl (g - 1))
-  done;
-  !mask
 
 (* Not [@hot]: it builds the packet, which originating one must do. *)
 let emit_packet s ~group ~seq ~last ~component ~decrease =
@@ -197,17 +188,19 @@ let sender_slot_tick_body s () =
   let n = config.layering.Layering.groups in
   let slot = s.s_slot in
   s.s_slot <- slot + 1;
-  let mask = upgrade_mask config slot in
+  let mask =
+    Layering.upgrade_mask config.layering ~period:config.upgrade_period slot
+  in
   s.s_stats.slots <- s.s_stats.slots + 1;
   for g = 2 to n do
-    if mask_bit mask g then
+    if Layering.mask_bit mask g then
       s.s_stats.authorizations.(g - 1) <- s.s_stats.authorizations.(g - 1) + 1
   done;
   let delta_state =
     match config.mode with
     | Plain -> None
     | Robust ->
-        let upgrades = Array.init n (fun i -> i >= 1 && mask_bit mask (i + 1)) in
+        let upgrades = Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1)) in
         let st =
           Layered.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
             ~upgrades
@@ -343,8 +336,7 @@ type group_slot_rec = {
   mutable saw_last : bool;
   mutable marked : int;
       (** ECN-marked arrivals: trusted edge routers scrub their DELTA
-          components, so the receiver counts them as congestion rather
-          than attempting a key it cannot reconstruct *)
+          components *)
 }
 
 type slot_rec = {
@@ -353,7 +345,25 @@ type slot_rec = {
   mutable mask : int;
 }
 
-type receiver = {
+type verdict = {
+  signal : bool;
+  desired : int;
+  may_upgrade : bool;
+  ceiling : int;
+}
+
+type 's law = {
+  name : string;
+  marks_lost : bool;
+  judge :
+    's -> slot_rec -> level:int -> effective:int -> any_lost:bool -> verdict;
+  shed : 's -> level:int -> unit;
+  settle : 's -> int -> unit;
+  attrs : 's -> (string * Json.t) list;
+  gauges : (string * ('s -> float)) list;
+}
+
+type 's chassis = {
   r_config : config;
   r_topo : Topology.t;
   r_host : Node.t;
@@ -361,36 +371,37 @@ type receiver = {
   r_prng : Prng.t;
   r_meter : Meter.t;
   r_series : Series.t;
+  r_law : 's law;
+  r_state : 's;
+  r_slots_metric : string;
+  r_levels_metric : string;
+  r_component : string;
   mutable r_level : int;
   r_active_since : int array;  (* first slot each group is evaluated for *)
-  r_slots : (int, slot_rec) Hashtbl.t;
-  r_base : float ref;
-      (* estimated start of slot 0; a float ref so updating it per
-         packet stores an unboxed float *)
-  mutable r_synced : bool;
-  mutable r_next_eval : int;
-  r_highest : int array;  (* per group: highest slot seen (self-clocking) *)
+  r_clock : slot_rec Slot_clock.t;
   mutable r_congestions : int;
   r_client : Client.t option;
   mutable r_misbehaving : bool;
   mutable r_joined_all : bool;
-  mutable r_stopped : bool;
   mutable r_history : submission list;
       (** honest (slot, pairs) submissions, newest first, bounded: what
           a colluder copies and what a stale-replay adversary mines *)
-  mutable r_collude_source : receiver option;
+  mutable r_collude_source : 's chassis option;
       (** when set, this receiver replays that receiver's submissions
           instead of reconstructing keys itself (paper Section 4.2) *)
 }
 
+type receiver = unit chassis
+
+let law_state r = r.r_state
 let receiver_meter r = r.r_meter
 let receiver_level r = r.r_level
 let level_series r = r.r_series
 let congestion_events r = r.r_congestions
-let receiver_stop r = r.r_stopped <- true
+let receiver_stop r = Slot_clock.stop r.r_clock
 
 let receiver_leave r =
-  if not r.r_stopped then begin
+  if not (Slot_clock.stopped r.r_clock) then begin
     let config = r.r_config in
     let groups =
       List.init (max 0 r.r_level) (fun i -> group_addr config (i + 1))
@@ -402,42 +413,19 @@ let receiver_leave r =
         List.iter
           (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
           groups);
-    r.r_stopped <- true
+    receiver_stop r
   end
-
-let new_slot_rec r slot =
-  let n = r.r_config.layering.Layering.groups in
-  let rec_ =
-    {
-      per_group =
-        Array.init n (fun _ ->
-            { count = 0; last_seq = -1; saw_last = false; marked = 0 });
-      delta_recv =
-        (match r.r_config.mode with
-        | Robust -> Some (Layered.receiver_create ~groups:n)
-        | Plain -> None);
-      mask = 0;
-    }
-  in
-  Hashtbl.replace r.r_slots slot rec_;
-  rec_
-
-let[@hot] slot_rec r slot =
-  match Hashtbl.find r.r_slots slot with
-  | exception Not_found -> new_slot_rec r slot
-  | rec_ -> rec_
 
 let record_level r =
   let time = Sim.now (Topology.sim r.r_topo) in
   Series.add r.r_series ~time ~value:(float_of_int r.r_level);
-  Metrics.tick "flid.level_changes";
+  Metrics.tick r.r_levels_metric;
   if Tracer.enabled () then
-    Tracer.emit ~sim_time:time ~component:"flid.receiver" ~event:"level"
+    Tracer.emit ~sim_time:time ~component:r.r_component ~event:"level"
       (fun () ->
-        [
-          ("host", Json.Int r.r_host.Node.id);
-          ("level", Json.Int r.r_level);
-        ])
+        ("host", Json.Int r.r_host.Node.id)
+        :: ("level", Json.Int r.r_level)
+        :: r.r_law.attrs r.r_state)
 
 (* Largest level e <= r_level such that every group 1..e has been
    subscribed since before slot [slot]: partial slots of freshly joined
@@ -450,10 +438,10 @@ let[@hot] rec climb r slot e =
 let[@hot] effective_level r slot =
   if r.r_active_since.(0) <= slot then climb r slot 1 else 0
 
-let group_lost rec_ g =
+let group_lost ~marks_lost rec_ g =
   let gs = rec_.per_group.(g - 1) in
   if gs.count = 0 then true
-  else if gs.marked > 0 then true
+  else if marks_lost && gs.marked > 0 then true
   else if not gs.saw_last then true
   else gs.last_seq < 0 || gs.count < gs.last_seq + 1
 
@@ -533,26 +521,23 @@ let plain_inflate r =
     record_level r
   end
 
-let eval_plain r slot rec_ effective congested =
+(* IGMP membership follows the law's desired level: any number of
+   levels down at once, one level up — and only from a fully effective
+   subscription. *)
+let apply_plain r slot ~effective v =
   let config = r.r_config in
-  let n = config.layering.Layering.groups in
-  if congested then begin
-    let new_level = max 1 (r.r_level - 1) in
-    if new_level < r.r_level then begin
-      for g = new_level + 1 to r.r_level do
-        Multicast.host_leave r.r_topo ~host:r.r_host
-          ~group:(group_addr config g);
-        r.r_active_since.(g - 1) <- max_int
-      done;
-      (* A pulse adversary that went quiet resumes honest behaviour:
-         once a group is shed it must be able to re-inflate later. *)
-      r.r_joined_all <- false;
-      r.r_level <- new_level;
-      record_level r
-    end
+  if v.desired < r.r_level then begin
+    for g = v.desired + 1 to r.r_level do
+      Multicast.host_leave r.r_topo ~host:r.r_host ~group:(group_addr config g);
+      r.r_active_since.(g - 1) <- max_int
+    done;
+    (* A pulse adversary that went quiet resumes honest behaviour:
+       once a group is shed it must be able to re-inflate later. *)
+    r.r_joined_all <- false;
+    r.r_level <- v.desired;
+    record_level r
   end
-  else if effective = r.r_level && r.r_level < n
-          && mask_bit rec_.mask (r.r_level + 1) then begin
+  else if v.desired > r.r_level && effective = r.r_level then begin
     let g = r.r_level + 1 in
     Multicast.host_join r.r_topo ~host:r.r_host ~group:(group_addr config g);
     r.r_active_since.(g - 1) <- slot + 2;
@@ -560,39 +545,50 @@ let eval_plain r slot rec_ effective congested =
     record_level r
   end
 
-let eval_robust r slot rec_ effective congested lost =
+(* The level follows the keys DELTA lets the receiver reconstruct: the
+   slot is congested for the key path when the law saw a congestion
+   signal or wants a lower level, and a congested slot lands no higher
+   than the law's ceiling. *)
+let apply_robust r slot rec_ ~effective ~lost v =
   let config = r.r_config in
   match rec_.delta_recv with
   | None -> ()
   | Some delta ->
+      let congested = v.signal || v.desired < r.r_level in
       let upgrade_to j =
-        effective = r.r_level
+        v.may_upgrade
         && j <= config.layering.Layering.groups
-        && mask_bit rec_.mask j
+        && Layering.mask_bit rec_.mask j
       in
       let outcome =
         Layered.slot_end delta ~level:effective ~congested ~lost ~upgrade_to
       in
-      subscribe_robust r ~slot:(slot + 2) ~entitled_pairs:outcome.Layered.keys;
       let new_level =
-        if effective = r.r_level then outcome.Layered.next_level
-        else if congested then outcome.Layered.next_level
+        if congested then min outcome.Layered.next_level v.ceiling
+        else if effective = r.r_level then outcome.Layered.next_level
         else r.r_level
       in
+      (* Keys never exceed the outcome's level; a ceiling below it drops
+         the keys above the level the receiver settles on. *)
+      let keys =
+        if new_level >= outcome.Layered.next_level then outcome.Layered.keys
+        else List.filter (fun (g, _) -> g <= max new_level 1) outcome.Layered.keys
+      in
+      subscribe_robust r ~slot:(slot + 2) ~entitled_pairs:keys;
       if new_level < r.r_level then begin
-        if (not r.r_misbehaving) && new_level < r.r_level then begin
-          match r.r_client with
-          | Some client ->
-              let dropped =
-                List.init (r.r_level - max 0 new_level) (fun i ->
-                    group_addr config (max 0 new_level + i + 1))
-              in
-              Client.unsubscribe client ~groups:dropped
-          | None -> ()
-        end;
+        (if not r.r_misbehaving then
+           match r.r_client with
+           | Some client ->
+               let dropped =
+                 List.init (r.r_level - max 0 new_level) (fun i ->
+                     group_addr config (max 0 new_level + i + 1))
+               in
+               Client.unsubscribe client ~groups:dropped
+           | None -> ());
         for g = max 1 new_level + 1 to r.r_level do
           r.r_active_since.(g - 1) <- max_int
-        done
+        done;
+        r.r_law.shed r.r_state ~level:new_level
       end;
       if new_level > r.r_level then
         r.r_active_since.(new_level - 1) <- slot + 2;
@@ -630,9 +626,8 @@ let collude r source =
       Client.subscribe client ~slot ~pairs
   | _, _ -> ()
 
-let eval_slot r slot =
-  let rec_ = slot_rec r slot in
-  Metrics.tick "flid.slots";
+let eval_slot r slot rec_ =
+  Metrics.tick r.r_slots_metric;
   let level_before = r.r_level in
   (match r.r_behavior with
   | Adversarial a ->
@@ -643,85 +638,29 @@ let eval_slot r slot =
       r.r_misbehaving <- true
   | Inflate_after _ | Well_behaved -> ());
   let effective = effective_level r slot in
-  let lost g = g <= effective && group_lost rec_ g in
-  let congested =
-    effective >= 1 && List.exists lost (List.init effective (fun i -> i + 1))
+  let lost g =
+    g <= effective && group_lost ~marks_lost:r.r_law.marks_lost rec_ g
   in
-  if congested then begin
-    r.r_congestions <- r.r_congestions + 1;
-    Metrics.tick "flid.inferred_losses"
-  end;
-  (match r.r_config.mode with
-  | Plain ->
-      if r.r_misbehaving then plain_inflate r
-      else if effective >= 1 then eval_plain r slot rec_ effective congested
-  | Robust -> (
-      if effective >= 1 then eval_robust r slot rec_ effective congested lost;
-      match r.r_collude_source with
-      | Some source -> collude r source
-      | None -> ()));
-  let delta = r.r_level - level_before in
-  if delta > 0 then Metrics.tick "flid.joins" ~by:delta
-  else if delta < 0 then Metrics.tick "flid.leaves" ~by:(-delta);
-  (* Drop bookkeeping for this and any older slot. *)
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) r.r_slots []
+  let verdict =
+    if effective < 1 then None
+    else begin
+      let any_lost = List.exists lost (List.init effective (fun i -> i + 1)) in
+      let v =
+        r.r_law.judge r.r_state rec_ ~level:r.r_level ~effective ~any_lost
+      in
+      if v.signal then r.r_congestions <- r.r_congestions + 1;
+      Some v
+    end
   in
-  List.iter (Hashtbl.remove r.r_slots) stale
-
-(* A group's slot is closed once its flagged last packet arrived or a
-   packet of a later slot did: the path is FIFO, so nothing of the slot
-   can still be in flight.  A slot is ready for evaluation when every
-   group of the effective subscription closed it. *)
-let[@hot] rec groups_closed r slot effective g =
-  if g > effective then true
-  else
-    let closed =
-      r.r_highest.(g - 1) > slot
-      ||
-      match Hashtbl.find r.r_slots slot with
-      | exception Not_found -> false
-      | rec_ -> rec_.per_group.(g - 1).saw_last
-    in
-    closed && groups_closed r slot effective (g + 1)
-
-let[@hot] slot_closed r slot =
-  let effective = effective_level r slot in
-  effective >= 1 && groups_closed r slot effective 1
-
-let rec try_eval r =
-  if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
-    let slot = r.r_next_eval in
-    eval_slot r slot;
-    r.r_next_eval <- slot + 1;
-    try_eval r
-  end
-
-(* Wall-clock fallback: when a subscribed group goes completely silent
-   nothing closes the slot, so evaluate [processing_margin] of a slot
-   after the boundary regardless (late packets then count as lost, as in
-   FLID-DL). *)
-let rec schedule_eval r =
-  if not r.r_stopped then begin
-    let sim = Topology.sim r.r_topo in
-    let config = r.r_config in
-    let slot = r.r_next_eval in
-    let at =
-      !(r.r_base)
-      +. (float_of_int (slot + 1) *. config.slot_duration)
-      +. (config.processing_margin *. config.slot_duration)
-    in
-    let at = Float.max at (Sim.now sim) in
-    Sim.post sim ~at (fun () ->
-           if not r.r_stopped then begin
-             if r.r_next_eval = slot then begin
-               eval_slot r slot;
-               r.r_next_eval <- slot + 1;
-               try_eval r
-             end;
-             schedule_eval r
-           end)
-  end
+  (match (r.r_config.mode, verdict) with
+  | Plain, _ when r.r_misbehaving -> plain_inflate r
+  | Plain, Some v -> apply_plain r slot ~effective v
+  | Robust, Some v -> apply_robust r slot rec_ ~effective ~lost v
+  | (Plain | Robust), None -> ());
+  (match (r.r_config.mode, r.r_collude_source) with
+  | Robust, Some source -> collude r source
+  | (Plain | Robust), _ -> ());
+  r.r_law.settle r.r_state (r.r_level - level_before)
 
 let[@hot] on_data r pkt =
   match pkt.Packet.payload with
@@ -729,21 +668,12 @@ let[@hot] on_data r pkt =
     when session = r.r_config.id ->
       let now = Sim.now (Topology.sim r.r_topo) in
       Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let candidate_base =
-        now -. (float_of_int slot *. r.r_config.slot_duration)
-      in
-      if not r.r_synced then begin
-        r.r_synced <- true;
-        r.r_base := candidate_base;
-        r.r_next_eval <- slot + 1;
-        if r.r_active_since.(0) = max_int then
-          r.r_active_since.(0) <- slot + 1;
-        schedule_eval r
-      end
-      else if candidate_base < !(r.r_base) then r.r_base := candidate_base;
-      r.r_highest.(group - 1) <- Int.max r.r_highest.(group - 1) slot;
-      if slot >= r.r_next_eval then begin
-        let rec_ = slot_rec r slot in
+      let clock = r.r_clock in
+      if Slot_clock.sync clock ~slot && r.r_active_since.(0) = max_int then
+        r.r_active_since.(0) <- slot + 1;
+      Slot_clock.close_lane clock ~lane:(group - 1) ~slot ~last;
+      if slot >= Slot_clock.next_eval clock then begin
+        let rec_ = Slot_clock.slot_rec clock slot in
         let gs = rec_.per_group.(group - 1) in
         gs.count <- gs.count + 1;
         if pkt.Packet.ecn then gs.marked <- gs.marked + 1;
@@ -758,11 +688,11 @@ let[@hot] on_data r pkt =
               ~decrease:pkt.Packet.delta_decrease
         | Some _ | None -> ()
       end;
-      try_eval r
+      Slot_clock.try_eval clock
   | _ -> ()
 
-let receiver_start ?(at = 0.) ?(behavior = Well_behaved) topo ~host ~prng
-    config =
+let chassis_start ?(at = 0.) ?(behavior = Well_behaved) ~law ~state topo ~host
+    ~prng config =
   (* The legacy constructor is sugar for the canonical inflation
      adversary, so the Figure 1 misbehaviour has a single
      implementation. *)
@@ -772,6 +702,18 @@ let receiver_start ?(at = 0.) ?(behavior = Well_behaved) topo ~host ~prng
     | (Well_behaved | Adversarial _) as b -> b
   in
   let n = config.layering.Layering.groups in
+  let fresh () =
+    {
+      per_group =
+        Array.init n (fun _ ->
+            { count = 0; last_seq = -1; saw_last = false; marked = 0 });
+      delta_recv =
+        (match config.mode with
+        | Robust -> Some (Layered.receiver_create ~groups:n)
+        | Plain -> None);
+      mask = 0;
+    }
+  in
   let r =
     {
       r_config = config;
@@ -781,13 +723,17 @@ let receiver_start ?(at = 0.) ?(behavior = Well_behaved) topo ~host ~prng
       r_prng = prng;
       r_meter = Meter.create ();
       r_series = Series.create ();
+      r_law = law;
+      r_state = state;
+      r_slots_metric = law.name ^ ".slots";
+      r_levels_metric = law.name ^ ".level_changes";
+      r_component = law.name ^ ".receiver";
       r_level = 1;
       r_active_since = Array.make n max_int;
-      r_slots = Hashtbl.create 8;
-      r_base = ref infinity;
-      r_synced = false;
-      r_next_eval = 0;
-      r_highest = Array.make n (-1);
+      r_clock =
+        Slot_clock.create (Topology.sim topo)
+          ~slot_duration:config.slot_duration
+          ~processing_margin:config.processing_margin ~lanes:n ~fresh;
       r_congestions = 0;
       r_client =
         (match config.mode with
@@ -795,30 +741,74 @@ let receiver_start ?(at = 0.) ?(behavior = Well_behaved) topo ~host ~prng
         | Plain -> None);
       r_misbehaving = false;
       r_joined_all = false;
-      r_stopped = false;
       r_history = [];
       r_collude_source = None;
     }
   in
+  Slot_clock.bind r.r_clock ~span:(effective_level r) ~eval:(eval_slot r);
   (* Per-receiver trajectories (no-op unless sampling is on): goodput in
-     kbit/s and the current subscription level — the curves of the
-     paper's attack/recovery figures. *)
+     kbit/s, the current subscription level and the law's own gauges —
+     the curves of the paper's attack/recovery figures. *)
   if Timeseries.enabled () then begin
     let name suffix =
-      Printf.sprintf "flid.s%d.h%d.%s" config.id host.Node.id suffix
+      Printf.sprintf "%s.s%d.h%d.%s" law.name config.id host.Node.id suffix
     in
     Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
         float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "level") (fun () -> float_of_int r.r_level)
+    Timeseries.sample_gauge (name "level") (fun () -> float_of_int r.r_level);
+    List.iter
+      (fun (suffix, gauge) ->
+        Timeseries.sample_gauge (name suffix) (fun () -> gauge state))
+      law.gauges
   end;
   for g = 1 to n do
     Node.subscribe_local host ~group:(group_addr config g) (on_data r)
   done;
   Sim.post (Topology.sim topo) ~at (fun () ->
-         match (config.mode, r.r_client) with
-         | Plain, _ ->
-             Multicast.host_join topo ~host ~group:(group_addr config 1)
-         | Robust, Some client ->
-             Client.session_join client ~group:(group_addr config 1)
-         | Robust, None -> ());
+      match (config.mode, r.r_client) with
+      | Plain, _ -> Multicast.host_join topo ~host ~group:(group_addr config 1)
+      | Robust, Some client ->
+          Client.session_join client ~group:(group_addr config 1)
+      | Robust, None -> ());
   r
+
+(* FLID-DL's rule (paper Section 3.1.1): a slot that lost any packet of
+   the effective subscription — ECN-marked packets included, their DELTA
+   components being scrubbed — drops the top layer; a clean slot adds a
+   layer when the mask authorizes it.  On the key path a congested slot
+   may keep its level through the increase key when the loss is
+   confined to the top group (the contradiction resolution), hence no
+   ceiling. *)
+let flid_law =
+  {
+    name = "flid";
+    marks_lost = true;
+    judge =
+      (fun () rec_ ~level ~effective ~any_lost ->
+        if any_lost then Metrics.tick "flid.inferred_losses";
+        let desired =
+          if any_lost then max 1 (level - 1)
+          else if
+            effective = level
+            && level < Array.length rec_.per_group
+            && Layering.mask_bit rec_.mask (level + 1)
+          then level + 1
+          else level
+        in
+        {
+          signal = any_lost;
+          desired;
+          may_upgrade = effective = level;
+          ceiling = max_int;
+        });
+    shed = (fun () ~level:_ -> ());
+    settle =
+      (fun () delta ->
+        if delta > 0 then Metrics.tick "flid.joins" ~by:delta
+        else if delta < 0 then Metrics.tick "flid.leaves" ~by:(-delta));
+    attrs = (fun () -> []);
+    gauges = [];
+  }
+
+let receiver_start ?at ?behavior topo ~host ~prng config =
+  chassis_start ?at ?behavior ~law:flid_law ~state:() topo ~host ~prng config

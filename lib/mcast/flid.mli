@@ -64,6 +64,10 @@ val make_config :
 val group_addr : config -> int -> int
 (** Address of group [g] (1-based). *)
 
+val default_slot : mode -> float
+(** The paper's slot durations (Section 5.1): 500 ms for FLID-DL
+    ([Plain]), 250 ms for FLID-DS ([Robust]). *)
+
 val default_upgrade_period : Layering.t -> int -> int
 (** [max 2 (ceil (R_g / R_1))] slots between authorizations to level g;
     shared with the other multi-group protocols in this library. *)
@@ -177,7 +181,89 @@ val inflation_guesses : adv_ctx -> (int * Mcc_delta.Key.t) list
     [actx_entitled], in group order.  Building block for budgeted
     key-guessing strategies. *)
 
-type receiver
+(** {2 Receiver chassis and laws}
+
+    Every cumulative layered receiver of this library runs on one
+    chassis: per-slot bookkeeping on the shared {!Slot_clock}, DELTA key
+    reconstruction, SIGMA or IGMP membership, adversaries and collusion,
+    the level series and the meter.  What differs between protocols is
+    a small {e receiver law}: what counts as a lost group, and the
+    level the receiver asks for after each slot.  FLID-DL's law is
+    below ({!receiver_start}); {!Oversub} is another. *)
+
+type group_slot_rec = {
+  mutable count : int;  (** packets received *)
+  mutable last_seq : int;  (** seq of the flagged last packet; -1 until seen *)
+  mutable saw_last : bool;
+  mutable marked : int;
+      (** ECN-marked arrivals: trusted edge routers scrub their DELTA
+          components *)
+}
+(** One group's evidence for one slot. *)
+
+type slot_rec = {
+  per_group : group_slot_rec array;  (** index g-1 *)
+  delta_recv : Mcc_delta.Layered.receiver option;  (** [Robust] mode *)
+  mutable mask : int;  (** the slot's upgrade authorization mask *)
+}
+
+type verdict = {
+  signal : bool;  (** the slot showed congestion (counted as an event) *)
+  desired : int;  (** the level the law asks for, >= 1 *)
+  may_upgrade : bool;
+      (** [Robust]: an authorized increase key may be claimed *)
+  ceiling : int;
+      (** [Robust]: a key-congested slot lands at most at this level *)
+}
+(** A law's per-slot decision.  In [Plain] mode the receiver sheds down
+    to [desired] at once, or adds one level when [desired] is higher
+    and its whole subscription is effective.  In [Robust] mode the slot
+    is congested for DELTA when [signal] is set or [desired] is below
+    the current level. *)
+
+type 's law = {
+  name : string;
+      (** prefix of the law's metrics ([name.slots],
+          [name.level_changes]), trace component ([name.receiver]) and
+          series ([name.s<id>.h<host>.*]) *)
+  marks_lost : bool;  (** whether an ECN-marked group counts as lost *)
+  judge :
+    's -> slot_rec -> level:int -> effective:int -> any_lost:bool -> verdict;
+      (** called once per slot with an effective subscription (>= 1):
+          [level] is the current level, [effective] the part of it
+          subscribed long enough to be judged, [any_lost] whether a
+          group of it was lost *)
+  shed : 's -> level:int -> unit;
+      (** [Robust]: the key chain forced the level down to [level] *)
+  settle : 's -> int -> unit;  (** end of slot: the level's net change *)
+  attrs : 's -> (string * Mcc_obs.Json.t) list;
+      (** extra attributes of the [level] trace event *)
+  gauges : (string * ('s -> float)) list;
+      (** extra sampled series, after goodput and level *)
+}
+(** A receiver law with state ['s]. *)
+
+type 's chassis
+(** A layered receiver running a law with state ['s]. *)
+
+val chassis_start :
+  ?at:float ->
+  ?behavior:behavior ->
+  law:'s law ->
+  state:'s ->
+  Mcc_net.Topology.t ->
+  host:Mcc_net.Node.t ->
+  prng:Mcc_util.Prng.t ->
+  config ->
+  's chassis
+(** Joins the minimal group at [at] (SIGMA session-join in [Robust]
+    mode, IGMP otherwise) and evaluates every slot with [law].  The
+    receiver draws from [prng] only while adversarial. *)
+
+val law_state : 's chassis -> 's
+
+type receiver = unit chassis
+(** A FLID-DL receiver. *)
 
 val receiver_start :
   ?at:float ->
@@ -188,33 +274,34 @@ val receiver_start :
   config ->
   receiver
 
-val receiver_meter : receiver -> Mcc_util.Meter.t
+val receiver_meter : _ chassis -> Mcc_util.Meter.t
 (** Bytes of session data reaching the receiver's host. *)
 
-val receiver_level : receiver -> int
+val receiver_level : _ chassis -> int
 (** Current subscription level (what the receiver believes). *)
 
-val level_series : receiver -> Mcc_util.Series.t
+val level_series : _ chassis -> Mcc_util.Series.t
 (** (time, level) samples recorded at every level change. *)
 
-val congestion_events : receiver -> int
+val congestion_events : _ chassis -> int
+(** Slots whose verdict signalled congestion. *)
 
-val receiver_stop : receiver -> unit
+val receiver_stop : _ chassis -> unit
 (** Freezes the receiver (no further evaluation or subscriptions);
     group membership decays via key expiry.  For an orderly departure
     use {!receiver_leave}. *)
 
-val receiver_leave : receiver -> unit
+val receiver_leave : _ chassis -> unit
 (** The paper's explicit unsubscription (Section 3.2.2, Figure 6c): the
     receiver leaves all its groups at once — an unsubscription message
     under SIGMA, IGMP leaves otherwise — and stops. *)
 
-val receiver_history : receiver -> submission list
+val receiver_history : _ chassis -> submission list
 (** The receiver's recent honest (slot, key) submissions, newest first,
     bounded — what an accomplice leaks to colluders (Section 4.2) and a
     stale-replay adversary mines. *)
 
-val set_colluder : receiver -> source:receiver -> unit
+val set_colluder : 's chassis -> source:'s chassis -> unit
 (** Turns the receiver into a colluder (paper Section 4.2): every slot
     it replays the (slot, key) submissions its accomplice [source] —
     typically a receiver behind a cleaner path — last made, instead of

@@ -24,3 +24,12 @@ let fair_level t ~rate_bps =
   if rate_bps < t.min_rate_bps then 0 else climb 1
 
 let top_rate t = cumulative_rate t ~level:t.groups
+
+let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
+
+let upgrade_mask t ~period slot =
+  let mask = ref 0 in
+  for g = 2 to t.groups do
+    if (slot + g) mod period g = 0 then mask := !mask lor (1 lsl (g - 1))
+  done;
+  !mask

@@ -27,3 +27,12 @@ val fair_level : t -> rate_bps:float -> int
 
 val top_rate : t -> float
 (** R_N, the session's full cumulative rate. *)
+
+val mask_bit : int -> int -> bool
+(** [mask_bit mask g]: whether an upgrade authorization mask authorizes
+    level [g] (bit [g - 1]). *)
+
+val upgrade_mask : t -> period:(int -> int) -> int -> int
+(** The authorization mask of a slot: level [g >= 2] is authorized in
+    slot [s] when [(s + g) mod period g = 0], so upgrades to level [g]
+    come every [period g] slots, staggered across levels. *)

@@ -74,21 +74,27 @@ val sender_start :
 val sender_stats : sender -> Flid.sender_stats
 val sender_stop : sender -> unit
 
-(** {1 Receiver} *)
+(** {1 Receiver}
+
+    The receiver is FLID's chassis ({!Flid.chassis_start}) running the
+    EWMA law: loss is missing packets only (a marked packet arrived and
+    counts toward the mark fraction), and the chassis sheds or adds
+    levels as the rate variable asks. *)
 
 type receiver
 
 val receiver_start :
   ?at:float ->
+  ?behavior:Flid.behavior ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
   config ->
   receiver
 (** Joins the minimal group at [at] (SIGMA session-join in [Robust]
-    mode, IGMP otherwise) and runs the EWMA control law every slot.
-    [prng] is unused by the honest receiver and kept for construction
-    uniformity across the protocol library. *)
+    mode, IGMP otherwise) and runs the EWMA control law every slot.  A
+    misbehaving [behavior] acts as on a FLID receiver; [prng] is drawn
+    from only while the receiver is adversarial. *)
 
 val receiver_meter : receiver -> Mcc_util.Meter.t
 (** Bytes of session data reaching the receiver's host. *)

@@ -70,8 +70,6 @@ let () =
         true
     | _ -> false)
 
-let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
-
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
@@ -93,15 +91,6 @@ let sender_stop s =
   match s.s_tick with Some h -> Sim.cancel h | None -> ()
 
 let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
-
-let upgrade_mask config slot =
-  let n = config.layering.Layering.groups in
-  let mask = ref 0 in
-  for g = 2 to n do
-    if (slot + g) mod config.upgrade_period g = 0 then
-      mask := !mask lor (1 lsl (g - 1))
-  done;
-  !mask
 
 let emit s ~group ~slot ~seq ~last ~mask ~component ~decrease =
   if not s.s_stopped then begin
@@ -129,12 +118,14 @@ let sender_slot_tick s () =
   let n = config.layering.Layering.groups in
   let slot = s.s_slot in
   s.s_slot <- slot + 1;
-  let mask = upgrade_mask config slot in
+  let mask =
+    Layering.upgrade_mask config.layering ~period:config.upgrade_period slot
+  in
   let delta_state =
     match config.mode with
     | Flid.Plain -> None
     | Flid.Robust ->
-        let upgrades = Array.init n (fun i -> i >= 1 && mask_bit mask (i + 1)) in
+        let upgrades = Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1)) in
         let st =
           Replicated.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
             ~upgrades
@@ -228,43 +219,17 @@ type receiver = {
   r_series : Series.t;
   mutable r_group : int;  (* currently subscribed group; 0 = re-admitting *)
   mutable r_active_since : int;  (* first slot the group is evaluated for *)
-  r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
-  mutable r_synced : bool;
-  mutable r_next_eval : int;
-  mutable r_highest : int;  (* highest slot seen on the current group *)
+  r_clock : slot_rec Slot_clock.t;
+      (* one lane: the subscribed group's packets *)
   r_client : Client.t option;
   mutable r_misbehaving : bool;
   mutable r_joined_all : bool;
-  mutable r_stopped : bool;
 }
 
 let receiver_meter r = r.r_meter
 let receiver_group r = r.r_group
 let group_series r = r.r_series
-let receiver_stop r = r.r_stopped <- true
-
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let rec_ =
-        {
-          count = 0;
-          last_seq = None;
-          saw_last = false;
-          mask = 0;
-          delta_recv =
-            (match r.r_config.mode with
-            | Flid.Robust ->
-                Some
-                  (Replicated.receiver_create
-                     ~groups:r.r_config.layering.Layering.groups)
-            | Flid.Plain -> None);
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
+let receiver_stop r = Slot_clock.stop r.r_clock
 
 let record_group r =
   let time = Sim.now (Topology.sim r.r_topo) in
@@ -306,10 +271,9 @@ let plain_inflate r =
     record_group r
   end
 
-let eval_slot r slot =
+let eval_slot r slot rec_ =
   let config = r.r_config in
   let n = config.layering.Layering.groups in
-  let rec_ = slot_rec r slot in
   (match r.r_behavior with
   | Flid.Adversarial a ->
       (* Replicated receivers hold one group at a time, so every active
@@ -336,7 +300,7 @@ let eval_slot r slot =
             record_group r
           end
         end
-        else if g < n && mask_bit rec_.mask (g + 1) then begin
+        else if g < n && Layering.mask_bit rec_.mask (g + 1) then begin
           switch_plain r ~from_group:g ~to_group:(g + 1);
           r.r_group <- g + 1;
           r.r_active_since <- slot + 2;
@@ -348,7 +312,7 @@ let eval_slot r slot =
         | Some delta ->
             let outcome =
               Replicated.slot_end delta ~group:g ~congested
-                ~upgrade_to:(fun j -> j <= n && mask_bit rec_.mask j)
+                ~upgrade_to:(fun j -> j <= n && Layering.mask_bit rec_.mask j)
             in
             let pairs =
               match outcome.Replicated.key with
@@ -403,49 +367,10 @@ let eval_slot r slot =
               | Some client ->
                   Client.session_join client ~group:(group_addr config 1)
               | None -> ())
-  end;
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) r.r_slots []
-  in
-  List.iter (Hashtbl.remove r.r_slots) stale
-
-let slot_closed r slot =
-  r.r_group >= 1 && r.r_active_since <= slot
-  && (r.r_highest > slot
-     ||
-     match Hashtbl.find_opt r.r_slots slot with
-     | Some rec_ -> rec_.saw_last
-     | None -> false)
-
-let rec try_eval r =
-  if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
-    let slot = r.r_next_eval in
-    eval_slot r slot;
-    r.r_next_eval <- slot + 1;
-    try_eval r
   end
 
-let rec schedule_eval r =
-  if not r.r_stopped then begin
-    let sim = Topology.sim r.r_topo in
-    let config = r.r_config in
-    let slot = r.r_next_eval in
-    let at =
-      r.r_base
-      +. (float_of_int (slot + 1) *. config.slot_duration)
-      +. (config.processing_margin *. config.slot_duration)
-    in
-    let at = Float.max at (Sim.now sim) in
-    Sim.post sim ~at (fun () ->
-           if not r.r_stopped then begin
-             if r.r_next_eval = slot then begin
-               eval_slot r slot;
-               r.r_next_eval <- slot + 1;
-               try_eval r
-             end;
-             schedule_eval r
-           end)
-  end
+let[@hot] span r slot =
+  if r.r_group >= 1 && r.r_active_since <= slot then 1 else 0
 
 let on_data r pkt =
   match pkt.Packet.payload with
@@ -453,24 +378,15 @@ let on_data r pkt =
     when session = r.r_config.id ->
       let now = Sim.now (Topology.sim r.r_topo) in
       Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let candidate_base =
-        now -. (float_of_int slot *. r.r_config.slot_duration)
-      in
-      if not r.r_synced then begin
-        r.r_synced <- true;
-        r.r_base <- candidate_base;
-        r.r_next_eval <- slot + 1;
-        if r.r_active_since = max_int then r.r_active_since <- slot + 1;
-        schedule_eval r
-      end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      if group = r.r_group then
-        r.r_highest <- max r.r_highest slot;
-      if slot >= r.r_next_eval then begin
+      let clock = r.r_clock in
+      if Slot_clock.sync clock ~slot && r.r_active_since = max_int then
+        r.r_active_since <- slot + 1;
+      if group = r.r_group then Slot_clock.close_lane clock ~lane:0 ~slot ~last;
+      if slot >= Slot_clock.next_eval clock then begin
         (* Only the subscribed group's packets feed congestion state; a
            packet from another group (stale forwarding during a switch)
            still feeds the DELTA accumulators, which are per-group. *)
-        let rec_ = slot_rec r slot in
+        let rec_ = Slot_clock.slot_rec clock slot in
         if group = r.r_group then begin
           rec_.count <- rec_.count + 1;
           if last then begin
@@ -485,7 +401,7 @@ let on_data r pkt =
               ~decrease:pkt.Packet.delta_decrease
         | Some _ | None -> ()
       end;
-      try_eval r
+      Slot_clock.try_eval clock
   | _ -> ()
 
 let receiver_start ?(at = 0.) ?(behavior = Flid.Well_behaved) topo ~host ~prng
@@ -502,20 +418,30 @@ let receiver_start ?(at = 0.) ?(behavior = Flid.Well_behaved) topo ~host ~prng
       r_series = Series.create ();
       r_group = 1;
       r_active_since = max_int;
-      r_slots = Hashtbl.create 8;
-      r_base = infinity;
-      r_synced = false;
-      r_next_eval = 0;
-      r_highest = -1;
+      r_clock =
+        Slot_clock.create (Topology.sim topo)
+          ~slot_duration:config.slot_duration
+          ~processing_margin:config.processing_margin ~lanes:1
+          ~fresh:(fun () ->
+            {
+              count = 0;
+              last_seq = None;
+              saw_last = false;
+              mask = 0;
+              delta_recv =
+                (match config.mode with
+                | Flid.Robust -> Some (Replicated.receiver_create ~groups:n)
+                | Flid.Plain -> None);
+            });
       r_client =
         (match config.mode with
         | Flid.Robust -> Some (Client.create ~width:config.width topo ~host)
         | Flid.Plain -> None);
       r_misbehaving = false;
       r_joined_all = false;
-      r_stopped = false;
     }
   in
+  Slot_clock.bind r.r_clock ~span:(span r) ~eval:(eval_slot r);
   if Timeseries.enabled () then begin
     let name suffix =
       Printf.sprintf "rep.s%d.h%d.%s" config.id host.Node.id suffix

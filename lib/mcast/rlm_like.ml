@@ -99,8 +99,6 @@ let () =
         true
     | _ -> false)
 
-let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
-
 (* ----------------------------------------------------------------- *)
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
@@ -131,15 +129,6 @@ let sender_stop s =
 let share_overhead_bits s = s.s_share_bits
 let data_bits s = s.s_data_bits
 
-let upgrade_mask config slot =
-  let n = config.layering.Layering.groups in
-  let mask = ref 0 in
-  for g = 2 to n do
-    if (slot + g) mod config.upgrade_period g = 0 then
-      mask := !mask lor (1 lsl (g - 1))
-  done;
-  !mask
-
 let thresholds config n =
   Array.init n (fun i -> threshold config ~level:(i + 1))
 
@@ -157,7 +146,7 @@ let emit s ~group ~slot ~seq ~last ~repair ~state ~counts () =
           (* Shares of increase keys, only for authorized targets. *)
           List.filter_map
             (fun (l, share) ->
-              if mask_bit state.mask (l + 1) then Some (l + 1, share) else None)
+              if Layering.mask_bit state.mask (l + 1) then Some (l + 1, share) else None)
             (Threshold.shares_for_packet inc ~group ~packet_index)
       | Some _ | None -> []
     in
@@ -190,7 +179,9 @@ let sender_slot_tick s () =
   let n = config.layering.Layering.groups in
   let slot = s.s_slot in
   s.s_slot <- slot + 1;
-  let mask = upgrade_mask config slot in
+  let mask =
+    Layering.upgrade_mask config.layering ~period:config.upgrade_period slot
+  in
   (* Packet counts for the slot are decided up front, which is what lets
      Shamir polynomials be sized exactly. *)
   let originals =
@@ -240,7 +231,7 @@ let sender_slot_tick s () =
               let keys = [ Threshold.level_key top ~level:g ] in
               let keys =
                 match inc with
-                | Some inc_sender when g >= 2 && mask_bit mask g ->
+                | Some inc_sender when g >= 2 && Layering.mask_bit mask g ->
                     Threshold.level_key inc_sender ~level:(g - 1) :: keys
                 | Some _ | None -> keys
               in
@@ -347,48 +338,25 @@ type receiver = {
   r_meter : Meter.t;
   mutable r_level : int;
   r_active_since : int array;
-  r_slots : (int, slot_rec) Hashtbl.t;
-  mutable r_base : float;
-  mutable r_synced : bool;
-  mutable r_next_eval : int;
-  r_highest : int array;
+  r_clock : slot_rec Slot_clock.t;
   r_client : Client.t option;
   r_loss_est : Tfrc.Loss_estimator.t;
   mutable r_srtt : float option;
-  mutable r_stopped : bool;
 }
 
 let receiver_meter r = r.r_meter
 let receiver_level r = r.r_level
 let receiver_rtt r = r.r_srtt
 let receiver_loss_rate r = Tfrc.Loss_estimator.value r.r_loss_est
-let receiver_stop r = r.r_stopped <- true
+let receiver_stop r = Slot_clock.stop r.r_clock
 
-let slot_rec r slot =
-  match Hashtbl.find_opt r.r_slots slot with
-  | Some rec_ -> rec_
-  | None ->
-      let n = r.r_config.layering.Layering.groups in
-      let rec_ =
-        {
-          per_group =
-            Array.init n (fun _ ->
-                { count = 0; last_seq = None; saw_last = false });
-          top_recv = Threshold.receiver_create ~levels:n;
-          inc_recv = Threshold.receiver_create ~levels:(max 1 (n - 1));
-          mask = 0;
-        }
-      in
-      Hashtbl.replace r.r_slots slot rec_;
-      rec_
+let[@hot] rec climb r slot e =
+  if e >= r.r_level then r.r_level
+  else if r.r_active_since.(e) <= slot then climb r slot (e + 1)
+  else e
 
-let effective_level r slot =
-  let rec climb e =
-    if e >= r.r_level then r.r_level
-    else if r.r_active_since.(e) <= slot then climb (e + 1)
-    else e
-  in
-  if r.r_active_since.(0) <= slot then climb 1 else 0
+let[@hot] effective_level r slot =
+  if r.r_active_since.(0) <= slot then climb r slot 1 else 0
 
 (* Expected packets of a group this slot, falling back to the rate-based
    estimate when even the last packet was lost. *)
@@ -430,10 +398,9 @@ let quorum_for r rec_ ~level =
     (int_of_float
        (ceil ((1. -. threshold r.r_config ~level) *. float_of_int !n_l)))
 
-let eval_slot r slot =
+let eval_slot r slot rec_ =
   let config = r.r_config in
   let n = config.layering.Layering.groups in
-  let rec_ = slot_rec r slot in
   Metrics.tick "rlm.slots";
   let level_before = r.r_level in
   let g = effective_level r slot in
@@ -452,7 +419,7 @@ let eval_slot r slot =
         in
         descend (g - 1)
       end
-      else if g = r.r_level && g < n && mask_bit rec_.mask (g + 1) then g + 1
+      else if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1) then g + 1
       else min g r.r_level
     in
     let equation_target () =
@@ -467,7 +434,7 @@ let eval_slot r slot =
       in
       if desired > g then
         (* Upgrades remain gated by increase-key authorization. *)
-        if g = r.r_level && g < n && mask_bit rec_.mask (g + 1) then g + 1
+        if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1) then g + 1
         else min g r.r_level
       else desired
     in
@@ -551,56 +518,6 @@ let eval_slot r slot =
             ("host", Json.Int r.r_host.Node.id);
             ("level", Json.Int r.r_level);
           ])
-  end;
-  let stale =
-    Hashtbl.fold (fun s _ acc -> if s <= slot then s :: acc else acc) r.r_slots []
-  in
-  List.iter (Hashtbl.remove r.r_slots) stale
-
-let slot_closed r slot =
-  let effective = effective_level r slot in
-  effective >= 1
-  &&
-  let rec check g =
-    if g > effective then true
-    else
-      (r.r_highest.(g - 1) > slot
-      ||
-      match Hashtbl.find_opt r.r_slots slot with
-      | Some rec_ -> rec_.per_group.(g - 1).saw_last
-      | None -> false)
-      && check (g + 1)
-  in
-  check 1
-
-let rec try_eval r =
-  if (not r.r_stopped) && slot_closed r r.r_next_eval then begin
-    let slot = r.r_next_eval in
-    eval_slot r slot;
-    r.r_next_eval <- slot + 1;
-    try_eval r
-  end
-
-let rec schedule_eval r =
-  if not r.r_stopped then begin
-    let sim = Topology.sim r.r_topo in
-    let config = r.r_config in
-    let slot = r.r_next_eval in
-    let at =
-      r.r_base
-      +. (float_of_int (slot + 1) *. config.slot_duration)
-      +. (config.processing_margin *. config.slot_duration)
-    in
-    let at = Float.max at (Sim.now sim) in
-    Sim.post sim ~at (fun () ->
-           if not r.r_stopped then begin
-             if r.r_next_eval = slot then begin
-               eval_slot r slot;
-               r.r_next_eval <- slot + 1;
-               try_eval r
-             end;
-             schedule_eval r
-           end)
   end
 
 let on_data r pkt =
@@ -610,21 +527,12 @@ let on_data r pkt =
     when session = r.r_config.id ->
       let now = Sim.now (Topology.sim r.r_topo) in
       Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let candidate_base =
-        now -. (float_of_int slot *. r.r_config.slot_duration)
-      in
-      if not r.r_synced then begin
-        r.r_synced <- true;
-        r.r_base <- candidate_base;
-        r.r_next_eval <- slot + 1;
-        if r.r_active_since.(0) = max_int then
-          r.r_active_since.(0) <- slot + 1;
-        schedule_eval r
-      end
-      else r.r_base <- Float.min r.r_base candidate_base;
-      r.r_highest.(group - 1) <- max r.r_highest.(group - 1) slot;
-      if slot >= r.r_next_eval then begin
-        let rec_ = slot_rec r slot in
+      let clock = r.r_clock in
+      if Slot_clock.sync clock ~slot && r.r_active_since.(0) = max_int then
+        r.r_active_since.(0) <- slot + 1;
+      Slot_clock.close_lane clock ~lane:(group - 1) ~slot ~last;
+      if slot >= Slot_clock.next_eval clock then begin
+        let rec_ = Slot_clock.slot_rec clock slot in
         let gs = rec_.per_group.(group - 1) in
         gs.count <- gs.count + 1;
         if last then begin
@@ -636,7 +544,7 @@ let on_data r pkt =
         Threshold.on_shares rec_.inc_recv
           (List.map (fun (target, share) -> (target - 1, share)) inc_shares)
       end;
-      try_eval r
+      Slot_clock.try_eval clock
   | _ -> ()
 
 let receiver_start ?(at = 0.) topo ~host ~prng config =
@@ -650,20 +558,28 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
       r_meter = Meter.create ();
       r_level = 1;
       r_active_since = Array.make n max_int;
-      r_slots = Hashtbl.create 8;
-      r_base = infinity;
-      r_synced = false;
-      r_next_eval = 0;
-      r_highest = Array.make n (-1);
+      r_clock =
+        Slot_clock.create (Topology.sim topo)
+          ~slot_duration:config.slot_duration
+          ~processing_margin:config.processing_margin ~lanes:n
+          ~fresh:(fun () ->
+            {
+              per_group =
+                Array.init n (fun _ ->
+                    { count = 0; last_seq = None; saw_last = false });
+              top_recv = Threshold.receiver_create ~levels:n;
+              inc_recv = Threshold.receiver_create ~levels:(max 1 (n - 1));
+              mask = 0;
+            });
       r_client =
         (match config.mode with
         | Flid.Robust -> Some (Client.create ~width:31 topo ~host)
         | Flid.Plain -> None);
       r_loss_est = Tfrc.Loss_estimator.create ();
       r_srtt = None;
-      r_stopped = false;
     }
   in
+  Slot_clock.bind r.r_clock ~span:(effective_level r) ~eval:(eval_slot r);
   if Timeseries.enabled () then begin
     let name suffix =
       Printf.sprintf "rlm.s%d.h%d.%s" config.id host.Node.id suffix
@@ -690,7 +606,7 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
       ignore
         (Sim.every (Topology.sim topo) ~start:(at +. 0.1) ~period:1.0
            (fun () ->
-             if not r.r_stopped then
+             if not (Slot_clock.stopped r.r_clock) then
                match Topology.group_source topo (group_addr config 1) with
                | Some source ->
                    Node.originate host

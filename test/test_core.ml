@@ -83,7 +83,7 @@ let test_scenario_unique_sessions () =
   Alcotest.(check bool) "distinct ids" true
     (a.Scenario.config.Flid.id <> b.Scenario.config.Flid.id);
   (* Group address ranges must not overlap. *)
-  let range (s : Scenario.session) =
+  let range (s : (Flid.config, _, _) Scenario.session) =
     let base = s.Scenario.config.Flid.base_group in
     (base, base + Defaults.groups - 1)
   in
@@ -262,11 +262,12 @@ let test_three_protocol_coexistence () =
       ~receivers:[ Scenario.receiver () ] ()
   in
   let rep =
-    Scenario.add_replicated t ~mode:Flid.Robust
-      ~receivers:[ Scenario.receiver () ] ()
+    Scenario.add_session (module Mcc_mcast.Protocol.Replicated) t
+      ~mode:Flid.Robust ~receivers:[ Scenario.receiver () ] ()
   in
   let rlm =
-    Scenario.add_rlm t ~mode:Flid.Robust ~receivers:[ Scenario.receiver () ] ()
+    Scenario.add_session (module Mcc_mcast.Protocol.Rlm) t ~mode:Flid.Robust
+      ~receivers:[ Scenario.receiver () ] ()
   in
   Scenario.run t ~seconds:40.;
   let nonzero m = Meter.total_bytes m > 0 in
@@ -275,14 +276,14 @@ let test_three_protocol_coexistence () =
   Alcotest.(check bool) "replicated flows" true
     (nonzero
        (Mcc_mcast.Replicated_proto.receiver_meter
-          (List.hd rep.Scenario.rep_receivers)));
+          (List.hd rep.Scenario.receivers)));
   Alcotest.(check bool) "rlm flows" true
     (nonzero
-       (Mcc_mcast.Rlm_like.receiver_meter (List.hd rlm.Scenario.rlm_receivers)));
+       (Mcc_mcast.Rlm_like.receiver_meter (List.hd rlm.Scenario.receivers)));
   (* Disjoint group address ranges. *)
   let fb = flid.Scenario.config.Flid.base_group in
-  let rb = rep.Scenario.rep_config.Mcc_mcast.Replicated_proto.base_group in
-  let lb = rlm.Scenario.rlm_config.Mcc_mcast.Rlm_like.base_group in
+  let rb = rep.Scenario.config.Mcc_mcast.Replicated_proto.base_group in
+  let lb = rlm.Scenario.config.Mcc_mcast.Rlm_like.base_group in
   Alcotest.(check bool) "disjoint ranges" true
     (rb >= fb + Defaults.groups && lb >= rb + Defaults.groups)
 

@@ -12,6 +12,9 @@ module Rlm = Mcc_mcast.Rlm_like
 module Layering = Mcc_mcast.Layering
 module Meter = Mcc_util.Meter
 module Prng = Mcc_util.Prng
+module Scenario = Mcc_core.Scenario
+module Spec = Mcc_core.Spec
+module Oversub = Mcc_mcast.Oversub
 
 let build ~bottleneck ~mode =
   let sim = Sim.create () in
@@ -221,6 +224,45 @@ let test_rlm_share_overhead_exceeds_xor () =
     true
     (ratio > 0.008)
 
+(* --- registry-wide receiver semantics ------------------------------------ *)
+
+(* Oversub receivers run FLID's chassis, so a scenario's misbehaving
+   receiver spec is honoured: in plain mode the inflater joins every
+   group and holds the top level; under DELTA + SIGMA its guessed keys
+   are refused and it never reaches it. *)
+let test_oversub_inflater () =
+  let run ~mode ~sigma =
+    let t =
+      Scenario.create ~seed:9 ~sigma ~bottleneck_rate_bps:1_000_000. ()
+    in
+    let s =
+      Scenario.add_session (module Mcc_mcast.Protocol.Oversub) t ~mode
+        ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after 10.) () ]
+        ()
+    in
+    Scenario.run t ~seconds:40.;
+    (t, List.hd s.Scenario.receivers)
+  in
+  let top = Defaults.groups in
+  let _, plain = run ~mode:Flid.Plain ~sigma:false in
+  Alcotest.(check int) "plain inflater holds the top level" top
+    (Oversub.receiver_level plain);
+  let t, robust = run ~mode:Flid.Robust ~sigma:true in
+  let peak =
+    List.fold_left
+      (fun acc (_, v) -> Float.max acc v)
+      0.
+      (Mcc_util.Series.to_list (Oversub.level_series robust))
+  in
+  Alcotest.(check bool) "delta+sigma inflater never at the top" true
+    (peak < float_of_int top);
+  let rejected =
+    match Scenario.agent t with
+    | Some agent -> (Router_agent.stats agent).Router_agent.keys_rejected
+    | None -> 0
+  in
+  Alcotest.(check bool) "its guessed keys were refused" true (rejected > 0)
+
 let suite =
   ( "protocols",
     [
@@ -233,6 +275,8 @@ let suite =
       Alcotest.test_case "replicated robust attack blocked" `Slow
         test_replicated_robust_attack_blocked;
       Alcotest.test_case "replicated series" `Slow test_replicated_group_series;
+      Alcotest.test_case "oversub honours a misbehaving receiver" `Slow
+        test_oversub_inflater;
       Alcotest.test_case "rlm thresholds" `Quick test_rlm_thresholds_decay;
       Alcotest.test_case "rlm plain converges" `Slow test_rlm_plain_converges;
       Alcotest.test_case "rlm robust converges" `Slow test_rlm_robust_converges;
