@@ -61,7 +61,6 @@ module Rlm = struct
   let default_slot = ds_slot
   let slot_duration c = c.slot_duration
   let receiver_start ?at ?behavior:_ = receiver_start ?at
-  let receiver_leave = receiver_stop
 end
 
 module Replicated = struct
@@ -73,7 +72,6 @@ module Replicated = struct
   let with_mode c mode = { c with mode }
   let default_slot = ds_slot
   let slot_duration c = c.slot_duration
-  let receiver_leave = receiver_stop
 end
 
 module Oversub = struct

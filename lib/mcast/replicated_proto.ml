@@ -231,6 +231,27 @@ let receiver_group r = r.r_group
 let group_series r = r.r_series
 let receiver_stop r = Slot_clock.stop r.r_clock
 
+let receiver_leave r =
+  if not (Slot_clock.stopped r.r_clock) then begin
+    let config = r.r_config in
+    (* One group, unless a plain inflater joined them all. *)
+    let groups =
+      if r.r_joined_all then
+        List.init config.layering.Layering.groups (fun i ->
+            group_addr config (i + 1))
+      else if r.r_group >= 1 then [ group_addr config r.r_group ]
+      else []
+    in
+    (match (config.mode, r.r_client) with
+    | Flid.Robust, Some client when groups <> [] ->
+        Client.unsubscribe client ~groups
+    | (Flid.Robust | Flid.Plain), _ ->
+        List.iter
+          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
+          groups);
+    receiver_stop r
+  end
+
 let record_group r =
   let time = Sim.now (Topology.sim r.r_topo) in
   Series.add r.r_series ~time ~value:(float_of_int r.r_group);

@@ -82,4 +82,11 @@ val receiver_group : receiver -> int
 (** The single group currently subscribed (0 while re-admitting). *)
 
 val group_series : receiver -> Mcc_util.Series.t
+
 val receiver_stop : receiver -> unit
+(** Freezes the receiver; group membership decays via key expiry. *)
+
+val receiver_leave : receiver -> unit
+(** Orderly departure: leave the subscribed group (every group, for a
+    plain receiver that inflated) at once — an unsubscription message
+    under SIGMA, IGMP leaves otherwise — and stop. *)

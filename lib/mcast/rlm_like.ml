@@ -350,6 +350,22 @@ let receiver_rtt r = r.r_srtt
 let receiver_loss_rate r = Tfrc.Loss_estimator.value r.r_loss_est
 let receiver_stop r = Slot_clock.stop r.r_clock
 
+let receiver_leave r =
+  if not (Slot_clock.stopped r.r_clock) then begin
+    let config = r.r_config in
+    let groups =
+      List.init (max 0 r.r_level) (fun i -> group_addr config (i + 1))
+    in
+    (match (config.mode, r.r_client) with
+    | Flid.Robust, Some client when groups <> [] ->
+        Client.unsubscribe client ~groups
+    | (Flid.Robust | Flid.Plain), _ ->
+        List.iter
+          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
+          groups);
+    receiver_stop r
+  end
+
 let[@hot] rec climb r slot e =
   if e >= r.r_level then r.r_level
   else if r.r_active_since.(e) <= slot then climb r slot (e + 1)

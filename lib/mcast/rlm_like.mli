@@ -127,3 +127,9 @@ val receiver_loss_rate : receiver -> float
 (** Smoothed loss-event rate the equation is fed with. *)
 
 val receiver_stop : receiver -> unit
+(** Freezes the receiver; group membership decays via key expiry. *)
+
+val receiver_leave : receiver -> unit
+(** Orderly departure: leave every subscribed group at once (an
+    unsubscription message under SIGMA, IGMP leaves otherwise) and
+    stop. *)

@@ -226,6 +226,32 @@ let test_rlm_share_overhead_exceeds_xor () =
 
 (* --- registry-wide receiver semantics ------------------------------------ *)
 
+(* [receiver_leave] means the same for every registered protocol: a
+   plain-mode receiver that leaves sends IGMP leaves for what it joined,
+   so its access link stops carrying the session's data. *)
+let test_leave_prunes_plain () =
+  List.iter
+    (fun (reg : Spec.registration) ->
+      let (module P) = reg.Spec.impl in
+      let t = Scenario.create ~seed:5 ~bottleneck_rate_bps:1_000_000. () in
+      let s =
+        Scenario.add_session (module P) t ~mode:Flid.Plain
+          ~receivers:[ Scenario.receiver () ] ()
+      in
+      let r = List.hd s.Scenario.receivers in
+      let bytes () = Meter.total_bytes (P.receiver_meter r) in
+      Scenario.run t ~seconds:10.;
+      Alcotest.(check bool) (reg.Spec.short ^ ": data flowed") true (bytes () > 0);
+      P.receiver_leave r;
+      (* Past the leave latency and the packets already in flight. *)
+      Scenario.run t ~seconds:11.;
+      let after_leave = bytes () in
+      Scenario.run t ~seconds:20.;
+      Alcotest.(check int)
+        (reg.Spec.short ^ ": no session data after leave")
+        after_leave (bytes ()))
+    Spec.protocols
+
 (* Oversub receivers run FLID's chassis, so a scenario's misbehaving
    receiver spec is honoured: in plain mode the inflater joins every
    group and holds the top level; under DELTA + SIGMA its guessed keys
@@ -275,6 +301,8 @@ let suite =
       Alcotest.test_case "replicated robust attack blocked" `Slow
         test_replicated_robust_attack_blocked;
       Alcotest.test_case "replicated series" `Slow test_replicated_group_series;
+      Alcotest.test_case "receiver_leave prunes plain membership" `Slow
+        test_leave_prunes_plain;
       Alcotest.test_case "oversub honours a misbehaving receiver" `Slow
         test_oversub_inflater;
       Alcotest.test_case "rlm thresholds" `Quick test_rlm_thresholds_decay;
