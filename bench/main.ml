@@ -437,15 +437,15 @@ let protocols () =
       ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let rep =
-    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Replicated) t
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Replicated_proto) t
       ~mode:Flid.Robust ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let ladder =
-    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Rlm) t
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Rlm_like) t
       ~mode:Flid.Robust ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
   let webrc =
-    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Rlm)
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Rlm_like)
       ~tune:(fun c -> { c with Rlm.policy = Rlm.Equation })
       t ~mode:Flid.Robust ~receivers:[ Mcc_core.Scenario.receiver () ] ()
   in
@@ -584,7 +584,7 @@ let oversub () =
       ~bottleneck_rate_bps:1_000_000. ()
   in
   let s =
-    Mcc_core.Scenario.add_session (module Mcc_mcast.Protocol.Oversub) t
+    Mcc_core.Scenario.add_session (module Mcc_mcast.Oversub) t
       ~mode:Flid.Robust
       ~receivers:
         [

@@ -87,21 +87,19 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
      scenario seed stream so adding a strategy never perturbs the honest
      sessions. *)
   let attacker_prng = Prng.create ((seed * 7919) + 13) in
-  let member_receiver slot_duration =
-    let inst =
-      strat.Strategy.instantiate ~attack_at ~slot_duration ~prng:attacker_prng
-    in
-    Scenario.receiver ~behavior:(Flid.Adversarial (Strategy.member inst)) ()
+  let (module P) = Spec.protocol_impl protocol in
+  let slot = P.default_slot mode in
+  let instantiate () =
+    strat.Strategy.instantiate ~attack_at ~slot_duration:slot
+      ~prng:attacker_prng
   in
-  let launch_bare ?feed ~groups ~slot_duration () =
-    let inst =
-      strat.Strategy.instantiate ~attack_at ~slot_duration ~prng:attacker_prng
-    in
+  let launch_bare ?feed ~groups () =
+    let inst = instantiate () in
     let host = Dumbbell.add_receiver (Scenario.dumbbell t) in
     let target =
       {
         Strategy.tgt_groups = groups;
-        tgt_slot_duration = slot_duration;
+        tgt_slot_duration = slot;
         tgt_sigma = sigma_enforced;
       }
     in
@@ -112,9 +110,8 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     in
     Strategy.bare_meter bare
   in
-  let (module P) = Spec.protocol_impl protocol in
   let session receivers =
-    Scenario.add_session (module P) t ~mode ?receiver_mode ~receivers ()
+    Scenario.add_session (module P) t ~slot ~mode ?receiver_mode ~receivers ()
   in
   (* Session A plus its adversary; returns the attacker-side meters. *)
   let attacker_meters =
@@ -122,11 +119,11 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
     | ( Spec.Flid_ds,
         ( Spec.Persistent_inflation | Spec.Pulse_inflation _
         | Spec.Key_guessing _ | Spec.Stale_replay _ ) ) ->
+        let member = Strategy.member (instantiate ()) in
         let a =
-          Scenario.add_multicast t ~mode ?receiver_mode
-            ~receivers:[ member_receiver (Flid.default_slot mode) ] ()
+          session [ Scenario.receiver ~behavior:(Flid.Adversarial member) () ]
         in
-        [ Flid.receiver_meter (List.hd a.Scenario.receivers) ]
+        [ P.receiver_meter (List.hd a.Scenario.receivers) ]
     | Spec.Flid_ds, Spec.Collusion { colluders } ->
         (* One honest session member is the accomplice; the colluders
            are free-riding hosts replaying its key submissions from
@@ -144,7 +141,7 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
         List.init colluders (fun _ ->
             launch_bare
               ~feed:(fun () -> Flid.receiver_history accomplice)
-              ~groups ~slot_duration:a.Scenario.config.Flid.slot_duration ())
+              ~groups ())
     | Spec.Flid_ds, Spec.Grace_churn _
     | (Spec.Rlm_threshold | Spec.Replicated | Spec.Oversub), _ ->
         let a = session [ Scenario.receiver () ] in
@@ -153,7 +150,7 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
             ~groups:
               (List.init Defaults.groups (fun g ->
                    P.group_addr a.Scenario.config (g + 1)))
-            ~slot_duration:(P.slot_duration a.Scenario.config) ();
+            ();
         ]
   in
   (* Session B: the honest victim whose goodput measures the damage. *)

@@ -136,16 +136,17 @@ let add_session (type c s r)
   t.next_session <- id + 1;
   let base_group = t.next_base_group in
   t.next_base_group <- base_group + layering.Layering.groups;
-  let config =
+  let configure mode =
     tune (P.configure ~id ~base_group ~layering ~slot_duration:slot ~mode)
   in
+  let config = configure mode in
   let sender_host = Dumbbell.add_sender t.db in
   let sender =
     P.sender_start t.db.Dumbbell.topo ~node:sender_host
       ~prng:(Prng.split t.prng) config
   in
   let receiver_config =
-    match receiver_mode with Some m -> P.with_mode config m | None -> config
+    match receiver_mode with Some m -> configure m | None -> config
   in
   let receivers =
     List.map
@@ -160,7 +161,7 @@ let add_session (type c s r)
   in
   { config; sender; receivers }
 
-let add_multicast = add_session (module Mcc_mcast.Protocol.Flid_ds)
+let add_multicast = add_session (module Mcc_mcast.Flid)
 
 let add_tcp ?(at = 0.) t =
   t.tcp_flows <- t.tcp_flows + 1;

@@ -1,6 +1,6 @@
 (** Scenario builder: composes a dumbbell, multicast sessions of any
-    protocol in {!Mcc_mcast.Protocol}, TCP and CBR cross traffic, and the SIGMA edge-router
-    agent, then runs the simulation.
+    {!Mcc_mcast.Protocol.S} protocol, TCP and CBR cross traffic, and the
+    SIGMA edge-router agent, then runs the simulation.
 
     Everything stochastic draws from a single seed, so a scenario is a
     pure function of its parameters. *)

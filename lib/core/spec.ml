@@ -181,13 +181,13 @@ type registration = {
 let protocols =
   [
     { tag = Flid_ds; short = "flid"; heading = "FLID-DS (layered, XOR keys)";
-      impl = (module Mcc_mcast.Protocol.Flid_ds) };
+      impl = (module Mcc_mcast.Flid) };
     { tag = Rlm_threshold; short = "rlm"; heading = "RLM-like (threshold keys)";
-      impl = (module Mcc_mcast.Protocol.Rlm) };
+      impl = (module Mcc_mcast.Rlm_like) };
     { tag = Replicated; short = "replicated"; heading = "Replicated streams";
-      impl = (module Mcc_mcast.Protocol.Replicated) };
+      impl = (module Mcc_mcast.Replicated_proto) };
     { tag = Oversub; short = "oversub"; heading = "Oversub (ECN-EWMA layered)";
-      impl = (module Mcc_mcast.Protocol.Oversub) };
+      impl = (module Mcc_mcast.Oversub) };
   ]
 
 let registration p = List.find (fun r -> r.tag = p) protocols

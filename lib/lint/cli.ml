@@ -209,7 +209,6 @@ let run_lint ~name ~ledger_default paths rules disable allow json sarif
         Lint.rules = enabled;
         allowlist;
         build_dir;
-        registry = Lint.default_registry;
       }
     in
     let report, elapsed =

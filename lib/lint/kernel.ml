@@ -95,18 +95,10 @@ type finding = {
 
 type allow_entry = { allow_rule : rule; allow_path : string }
 
-type registry_check = { reg_def : string; reg_type : string }
-
-(* The Spec.protocols registry: its variant type must not be matched
-   with a catch-all. *)
-let default_registry =
-  { reg_def = "lib/core/spec.ml"; reg_type = "protocol" }
-
 type config = {
   rules : rule list;
   allowlist : allow_entry list;
   build_dir : string option;
-  registry : registry_check;
 }
 
 let default_config =
@@ -114,7 +106,6 @@ let default_config =
     rules = all_rules;
     allowlist = [];
     build_dir = None;
-    registry = default_registry;
   }
 
 type report = {

@@ -41,21 +41,12 @@ type allow_entry = {
   allow_path : string;  (** exact path, or a prefix when ending in [/] *)
 }
 
-type registry_check = {
-  reg_def : string;  (** the [.ml] defining the registry, root-relative *)
-  reg_type : string;  (** the variant type name, e.g. [protocol] *)
-}
-
-val default_registry : registry_check
-(** [Spec.protocol] in [lib/core/spec.ml]. *)
-
 type config = {
   rules : rule list;  (** enabled rules *)
   allowlist : allow_entry list;
   build_dir : string option;
       (** where to look for [.cmt] files; [None] autodetects
           ([_build/default] when present, else the current directory) *)
-  registry : registry_check;
 }
 
 val default_config : config

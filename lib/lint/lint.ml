@@ -46,19 +46,12 @@ type allow_entry = Kernel.allow_entry = {
   allow_path : string;
 }
 
-type registry_check = Kernel.registry_check = {
-  reg_def : string;
-  reg_type : string;
-}
-
 type config = Kernel.config = {
   rules : rule list;
   allowlist : allow_entry list;
   build_dir : string option;
-  registry : registry_check;
 }
 
-let default_registry = Kernel.default_registry
 let default_config = Kernel.default_config
 
 type report = Kernel.report = {

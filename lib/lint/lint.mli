@@ -122,14 +122,6 @@ type allow_entry = Kernel.allow_entry = {
   allow_path : string;  (** exact path, or a prefix when ending in [/] *)
 }
 
-type registry_check = Kernel.registry_check = {
-  reg_def : string;  (** the [.ml] defining the registry, root-relative *)
-  reg_type : string;  (** the variant type name, e.g. [protocol] *)
-}
-
-val default_registry : registry_check
-(** [Spec.protocol] in [lib/core/spec.ml]. *)
-
 type config = Kernel.config = {
   rules : rule list;  (** enabled rules *)
   allowlist : allow_entry list;
@@ -137,12 +129,10 @@ type config = Kernel.config = {
       (** where the typed stage looks for [.cmt] files; [None]
           autodetects ([_build/default] when present, else the current
           directory) *)
-  registry : registry_check;
 }
 
 val default_config : config
-(** Every rule enabled, empty allowlist, autodetected build dir,
-    {!default_registry}. *)
+(** Every rule enabled, empty allowlist, autodetected build dir. *)
 
 val parse_allowlist : ?file:string -> string -> (allow_entry list, string) result
 (** Parse allowlist text; [file] names the source in error messages. *)

@@ -34,24 +34,24 @@ let seg_last s =
   | Some start -> String.sub after_dot start (String.length after_dot - start)
   | None -> after_dot
 
-let def_module (registry : Kernel.registry_check) =
-  String.capitalize_ascii
-    (Filename.remove_extension (Filename.basename registry.reg_def))
+(* The registry: the [protocol] variant of lib/core/spec.ml. *)
+let reg_def = "lib/core/spec.ml"
+let reg_module = "Spec"
+let reg_type = "protocol"
 
 (* Is [p] the registry type?  Either a dotted path whose module segment
    is the defining module, or — only inside the defining file itself —
    the bare type name. *)
-let is_registry_type ~in_def (registry : Kernel.registry_check) p =
-  String.equal (Path.last p) registry.reg_type
+let is_registry_type ~in_def p =
+  String.equal (Path.last p) reg_type
   &&
   let name = Path.name p in
-  if String.equal name registry.reg_type then in_def
+  if String.equal name reg_type then in_def
   else
     let modpart =
-      String.sub name 0
-        (String.length name - String.length registry.reg_type - 1)
+      String.sub name 0 (String.length name - String.length reg_type - 1)
     in
-    String.equal (seg_last modpart) (def_module registry)
+    String.equal (seg_last modpart) reg_module
 
 let rec is_catch_all : type k. k general_pattern -> bool =
  fun p ->
@@ -72,12 +72,12 @@ let finding ~path ~line ~col message =
     message;
   }
 
-let check_catch_all ~path ~registry str =
+let check_catch_all ~path str =
   let in_def =
     let wanted = Kernel.normalize_path path in
-    let def = Kernel.normalize_path registry.Kernel.reg_def in
-    String.equal wanted def || String.ends_with ~suffix:("/" ^ def) wanted
-    || String.ends_with ~suffix:("/" ^ Filename.basename def) wanted
+    String.equal wanted reg_def
+    || String.ends_with ~suffix:("/" ^ reg_def) wanted
+    || String.ends_with ~suffix:("/" ^ Filename.basename reg_def) wanted
   in
   let findings = ref [] in
   let check_cases : type k. k case list -> unit =
@@ -90,7 +90,7 @@ let check_catch_all ~path ~registry str =
             let p = c.c_lhs in
             match Types.get_desc p.pat_type with
             | Types.Tconstr (tp, _, _)
-              when is_registry_type ~in_def registry tp ->
+              when is_registry_type ~in_def tp ->
                 if is_catch_all p then
                   findings :=
                     finding ~path ~line:p.pat_loc.loc_start.pos_lnum
@@ -102,7 +102,7 @@ let check_catch_all ~path ~registry str =
                           enumerate the constructors so new registry entries \
                           fail to compile here instead of being silently \
                           swallowed"
-                         (def_module registry) registry.Kernel.reg_type)
+                         reg_module reg_type)
                     :: !findings
             | _ -> ())
           cases

@@ -2,8 +2,4 @@
     dispatch.  {!check_catch_all} flags catch-all patterns in
     multi-case matches whose patterns have the registry type. *)
 
-val check_catch_all :
-  path:string ->
-  registry:Kernel.registry_check ->
-  Typedtree.structure ->
-  Kernel.finding list
+val check_catch_all : path:string -> Typedtree.structure -> Kernel.finding list

@@ -35,8 +35,7 @@ let run (config : Kernel.config) files =
               findings := Hot_alloc.check ~path:file str @ !findings;
             if enabled Kernel.Registry_exhaustive then
               findings :=
-                Registry.check_catch_all ~path:file
-                  ~registry:config.Kernel.registry str
+                Registry.check_catch_all ~path:file str
                 @ !findings)
       ml_files;
     {

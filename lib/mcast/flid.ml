@@ -61,9 +61,11 @@ let make_config ?(packet_size = 576) ?(width = Key.default_width)
     fec_scheme;
   }
 
-let group_addr config g = config.base_group + g - 1
+let configure ~id ~base_group ~layering ~slot_duration ~mode =
+  make_config ~id ~base_group ~layering ~slot_duration ~mode ()
 
 let default_slot = function Plain -> 0.5 | Robust -> 0.25
+let group_addr config g = config.base_group + g - 1
 
 type Payload.t +=
   | Data of {
@@ -200,7 +202,9 @@ let sender_slot_tick_body s () =
     match config.mode with
     | Plain -> None
     | Robust ->
-        let upgrades = Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1)) in
+        let upgrades =
+          Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1))
+        in
         let st =
           Layered.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
             ~upgrades
@@ -330,10 +334,39 @@ type adversary = {
 
 type behavior = Well_behaved | Inflate_after of float | Adversarial of adversary
 
+(* Membership and series plumbing shared by every receiver of this
+   library.  A receiver has a SIGMA client exactly when it runs in
+   Robust mode; without one it drives membership over plain IGMP. *)
+
+let attach ?(at = 0.) topo ~host client ~groups on_data =
+  List.iter (fun group -> Node.subscribe_local host ~group on_data) groups;
+  let group = List.hd groups in
+  Sim.post (Topology.sim topo) ~at (fun () ->
+      match client with
+      | Some client -> Client.session_join client ~group
+      | None -> Multicast.host_join topo ~host ~group)
+
+let depart topo ~host client ~groups =
+  match client with
+  | Some client when groups <> [] -> Client.unsubscribe client ~groups
+  | Some _ | None ->
+      List.iter (fun group -> Multicast.host_leave topo ~host ~group) groups
+
+let sample_series ~prefix ~id ~host meter gauges =
+  if Timeseries.enabled () then begin
+    let name suffix =
+      Printf.sprintf "%s.s%d.h%d.%s" prefix id host.Node.id suffix
+    in
+    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
+        float_of_int (Meter.total_bytes meter));
+    List.iter
+      (fun (suffix, gauge) -> Timeseries.sample_gauge (name suffix) gauge)
+      gauges
+  end
+
 type group_slot_rec = {
   mutable count : int;
   mutable last_seq : int;  (** seq of the flagged last packet; -1 until seen *)
-  mutable saw_last : bool;
   mutable marked : int;
       (** ECN-marked arrivals: trusted edge routers scrub their DELTA
           components *)
@@ -402,17 +435,9 @@ let receiver_stop r = Slot_clock.stop r.r_clock
 
 let receiver_leave r =
   if not (Slot_clock.stopped r.r_clock) then begin
-    let config = r.r_config in
-    let groups =
-      List.init (max 0 r.r_level) (fun i -> group_addr config (i + 1))
-    in
-    (match (config.mode, r.r_client) with
-    | Robust, Some client when groups <> [] ->
-        Client.unsubscribe client ~groups
-    | (Robust | Plain), _ ->
-        List.iter
-          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
-          groups);
+    depart r.r_topo ~host:r.r_host r.r_client
+      ~groups:
+        (List.init (max 0 r.r_level) (fun i -> group_addr r.r_config (i + 1)));
     receiver_stop r
   end
 
@@ -427,22 +452,13 @@ let record_level r =
         :: ("level", Json.Int r.r_level)
         :: r.r_law.attrs r.r_state)
 
-(* Largest level e <= r_level such that every group 1..e has been
-   subscribed since before slot [slot]: partial slots of freshly joined
-   groups must not count as losses. *)
-let[@hot] rec climb r slot e =
-  if e >= r.r_level then r.r_level
-  else if r.r_active_since.(e) <= slot then climb r slot (e + 1)
-  else e
-
 let[@hot] effective_level r slot =
-  if r.r_active_since.(0) <= slot then climb r slot 1 else 0
+  Layering.effective_level r.r_active_since ~level:r.r_level slot
 
 let group_lost ~marks_lost rec_ g =
   let gs = rec_.per_group.(g - 1) in
   if gs.count = 0 then true
   else if marks_lost && gs.marked > 0 then true
-  else if not gs.saw_last then true
   else gs.last_seq < 0 || gs.count < gs.last_seq + 1
 
 let random_key r = Key.nonce r.r_prng ~width:r.r_config.width
@@ -572,19 +588,16 @@ let apply_robust r slot rec_ ~effective ~lost v =
          the keys above the level the receiver settles on. *)
       let keys =
         if new_level >= outcome.Layered.next_level then outcome.Layered.keys
-        else List.filter (fun (g, _) -> g <= max new_level 1) outcome.Layered.keys
+        else
+          List.filter (fun (g, _) -> g <= max new_level 1) outcome.Layered.keys
       in
       subscribe_robust r ~slot:(slot + 2) ~entitled_pairs:keys;
       if new_level < r.r_level then begin
-        (if not r.r_misbehaving then
-           match r.r_client with
-           | Some client ->
-               let dropped =
-                 List.init (r.r_level - max 0 new_level) (fun i ->
-                     group_addr config (max 0 new_level + i + 1))
-               in
-               Client.unsubscribe client ~groups:dropped
-           | None -> ());
+        if not r.r_misbehaving then
+          depart r.r_topo ~host:r.r_host r.r_client
+            ~groups:
+              (List.init (r.r_level - max 0 new_level) (fun i ->
+                   group_addr config (max 0 new_level + i + 1)));
         for g = max 1 new_level + 1 to r.r_level do
           r.r_active_since.(g - 1) <- max_int
         done;
@@ -632,11 +645,8 @@ let eval_slot r slot rec_ =
   (match r.r_behavior with
   | Adversarial a ->
       r.r_misbehaving <- a.adv_active ~time:(Sim.now (Topology.sim r.r_topo))
-  | Inflate_after t when Sim.now (Topology.sim r.r_topo) >= t ->
-      (* Normalised to [Adversarial] at receiver_start; kept for receivers
-         constructed with the record directly in tests. *)
-      r.r_misbehaving <- true
-  | Inflate_after _ | Well_behaved -> ());
+  | Inflate_after _ (* normalised to [Adversarial] at start *) | Well_behaved
+    -> ());
   let effective = effective_level r slot in
   let lost g =
     g <= effective && group_lost ~marks_lost:r.r_law.marks_lost rec_ g
@@ -677,10 +687,7 @@ let[@hot] on_data r pkt =
         let gs = rec_.per_group.(group - 1) in
         gs.count <- gs.count + 1;
         if pkt.Packet.ecn then gs.marked <- gs.marked + 1;
-        if last then begin
-          gs.saw_last <- true;
-          gs.last_seq <- seq
-        end;
+        if last then gs.last_seq <- seq;
         rec_.mask <- rec_.mask lor upgrade_mask;
         match rec_.delta_recv with
         | Some dr when pkt.Packet.delta_component <> Packet.no_field ->
@@ -705,8 +712,7 @@ let chassis_start ?(at = 0.) ?(behavior = Well_behaved) ~law ~state topo ~host
   let fresh () =
     {
       per_group =
-        Array.init n (fun _ ->
-            { count = 0; last_seq = -1; saw_last = false; marked = 0 });
+        Array.init n (fun _ -> { count = 0; last_seq = -1; marked = 0 });
       delta_recv =
         (match config.mode with
         | Robust -> Some (Layered.receiver_create ~groups:n)
@@ -749,27 +755,13 @@ let chassis_start ?(at = 0.) ?(behavior = Well_behaved) ~law ~state topo ~host
   (* Per-receiver trajectories (no-op unless sampling is on): goodput in
      kbit/s, the current subscription level and the law's own gauges —
      the curves of the paper's attack/recovery figures. *)
-  if Timeseries.enabled () then begin
-    let name suffix =
-      Printf.sprintf "%s.s%d.h%d.%s" law.name config.id host.Node.id suffix
-    in
-    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
-        float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "level") (fun () -> float_of_int r.r_level);
-    List.iter
-      (fun (suffix, gauge) ->
-        Timeseries.sample_gauge (name suffix) (fun () -> gauge state))
-      law.gauges
-  end;
-  for g = 1 to n do
-    Node.subscribe_local host ~group:(group_addr config g) (on_data r)
-  done;
-  Sim.post (Topology.sim topo) ~at (fun () ->
-      match (config.mode, r.r_client) with
-      | Plain, _ -> Multicast.host_join topo ~host ~group:(group_addr config 1)
-      | Robust, Some client ->
-          Client.session_join client ~group:(group_addr config 1)
-      | Robust, None -> ());
+  sample_series ~prefix:law.name ~id:config.id ~host r.r_meter
+    (("level", fun () -> float_of_int r.r_level)
+    :: List.map (fun (suffix, gauge) -> (suffix, fun () -> gauge state))
+         law.gauges);
+  attach ~at topo ~host r.r_client
+    ~groups:(List.init n (fun i -> group_addr config (i + 1)))
+    (on_data r);
   r
 
 (* FLID-DL's rule (paper Section 3.1.1): a slot that lost any packet of

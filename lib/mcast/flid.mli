@@ -64,6 +64,17 @@ val make_config :
 val group_addr : config -> int -> int
 (** Address of group [g] (1-based). *)
 
+(** {2 Protocol registry entry points} (see {!Protocol.S}) *)
+
+val configure :
+  id:int ->
+  base_group:int ->
+  layering:Layering.t ->
+  slot_duration:float ->
+  mode:mode ->
+  config
+(** [make_config] with every default. *)
+
 val default_slot : mode -> float
 (** The paper's slot durations (Section 5.1): 500 ms for FLID-DL
     ([Plain]), 250 ms for FLID-DS ([Robust]). *)
@@ -168,6 +179,43 @@ type behavior =
           {!receiver_start}. *)
   | Adversarial of adversary
 
+(** {2 Membership plumbing shared by every receiver}
+
+    [client] is the receiver's SIGMA client: present exactly in
+    [Robust] mode; without one, membership is plain IGMP. *)
+
+val attach :
+  ?at:float ->
+  Mcc_net.Topology.t ->
+  host:Mcc_net.Node.t ->
+  Mcc_sigma.Client.t option ->
+  groups:int list ->
+  (Mcc_net.Packet.t -> unit) ->
+  unit
+(** Delivers the session's [groups] to the handler on [host], and at
+    [at] (default 0) joins the first (minimal) group: a SIGMA
+    session-join, or an IGMP join. *)
+
+val depart :
+  Mcc_net.Topology.t ->
+  host:Mcc_net.Node.t ->
+  Mcc_sigma.Client.t option ->
+  groups:int list ->
+  unit
+(** Leaves [groups] at once: one SIGMA unsubscription, or IGMP
+    leaves. *)
+
+val sample_series :
+  prefix:string ->
+  id:int ->
+  host:Mcc_net.Node.t ->
+  Mcc_util.Meter.t ->
+  (string * (unit -> float)) list ->
+  unit
+(** Registers a receiver's sampled series (no-op unless sampling is
+    on): [<prefix>.s<id>.h<host>.goodput_kbps] from the meter, then one
+    gauge per [(suffix, read)]. *)
+
 val inflation_adversary : at:float -> adversary
 (** The paper's Figure 1 misbehaviour: from [at] on, claim every group
     of the session, guessing a random key for each group the receiver
@@ -194,7 +242,6 @@ val inflation_guesses : adv_ctx -> (int * Mcc_delta.Key.t) list
 type group_slot_rec = {
   mutable count : int;  (** packets received *)
   mutable last_seq : int;  (** seq of the flagged last packet; -1 until seen *)
-  mutable saw_last : bool;
   mutable marked : int;
       (** ECN-marked arrivals: trusted edge routers scrub their DELTA
           components *)

@@ -25,6 +25,14 @@ let fair_level t ~rate_bps =
 
 let top_rate t = cumulative_rate t ~level:t.groups
 
+let[@hot] rec climb active_since ~level slot e =
+  if e >= level then level
+  else if active_since.(e) <= slot then climb active_since ~level slot (e + 1)
+  else e
+
+let[@hot] effective_level active_since ~level slot =
+  if active_since.(0) <= slot then climb active_since ~level slot 1 else 0
+
 let mask_bit mask g = mask land (1 lsl (g - 1)) <> 0
 
 let upgrade_mask t ~period slot =

@@ -28,6 +28,12 @@ val fair_level : t -> rate_bps:float -> int
 val top_rate : t -> float
 (** R_N, the session's full cumulative rate. *)
 
+val effective_level : int array -> level:int -> int -> int
+(** [effective_level active_since ~level s]: the largest [e <= level]
+    such that every group [g <= e] is evaluated from a slot
+    [active_since.(g-1) <= s] on.  Partial slots of freshly joined
+    groups must not count as losses; 0 while even group 1 is not. *)
+
 val mask_bit : int -> int -> bool
 (** [mask_bit mask g]: whether an upgrade authorization mask authorizes
     level [g] (bit [g - 1]). *)

@@ -27,6 +27,10 @@ let make_config ?(packet_size = 576) ?(width = Key.default_width)
   in
   { flid; alpha; target; md; ai_bps; max_exp }
 
+let configure ~id ~base_group ~layering ~slot_duration ~mode =
+  make_config ~id ~base_group ~layering ~slot_duration ~mode ()
+
+let default_slot _ = Flid.default_slot Flid.Robust
 let group_addr config g = Flid.group_addr config.flid g
 
 (* The sender side is protocol-independent: slot-clocked layered groups
@@ -124,7 +128,9 @@ let judge st rec_ ~level ~effective ~any_lost =
   if any_lost then Metrics.tick "oversub.lossy_slots";
   let signal = any_lost || marked > 0 in
   if signal then Metrics.tick "oversub.congested_slots";
-  let desired = constrain_desired st rec_ ~level ~effective ~desired:rate_level in
+  let desired =
+    constrain_desired st rec_ ~level ~effective ~desired:rate_level
+  in
   {
     Flid.signal;
     desired;

@@ -56,6 +56,20 @@ val make_config :
 val group_addr : config -> int -> int
 (** Address of group [g] (1-based). *)
 
+(** {2 Protocol registry entry points} (see {!Protocol.S}) *)
+
+val configure :
+  id:int ->
+  base_group:int ->
+  layering:Layering.t ->
+  slot_duration:float ->
+  mode:Flid.mode ->
+  config
+(** [make_config] with every default. *)
+
+val default_slot : Flid.mode -> float
+(** FLID-DS's slot, in either mode. *)
+
 (** {1 Sender}
 
     The sender is FLID's, byte for byte: same slot tick, same DELTA

@@ -1,6 +1,7 @@
 (** One signature for every multicast congestion-control protocol of
     this library, so session builders dispatch through a first-class
-    module instead of matching on the protocol.
+    module instead of matching on the protocol.  {!Flid}, {!Rlm_like},
+    {!Replicated_proto} and {!Oversub} satisfy it as they are.
 
     Adding a protocol is one module satisfying {!S} (for a cumulative
     layered one, a receiver law run by {!Flid.chassis_start}) plus one
@@ -20,18 +21,11 @@ module type S = sig
     config
   (** The protocol's defaults for everything else. *)
 
-  val with_mode : config -> Flid.mode -> config
-  (** The receiver-mode override: [Plain] receivers of a [Robust]
-      session model hosts behind a legacy edge that drive subscriptions
-      over IGMP while the sender still pays the DELTA/SIGMA overhead. *)
-
   val default_slot : Flid.mode -> float
   (** Slot duration when a builder is not given one. *)
 
   val group_addr : config -> int -> int
   (** Address of group [g] (1-based). *)
-
-  val slot_duration : config -> float
 
   val sender_start :
     ?at:float ->
@@ -56,34 +50,3 @@ module type S = sig
   val receiver_leave : receiver -> unit
   (** Orderly departure: leave the subscribed groups and stop. *)
 end
-
-module Flid_ds :
-  S
-    with type config = Flid.config
-     and type sender = Flid.sender
-     and type receiver = Flid.receiver
-(** FLID-DL / FLID-DS; default slots as {!Flid.default_slot}. *)
-
-module Rlm :
-  S
-    with type config = Rlm_like.config
-     and type sender = Rlm_like.sender
-     and type receiver = Rlm_like.receiver
-(** The threshold protocol; receiver behaviours are ignored (only
-    well-behaved threshold receivers are modelled).  Default slot:
-    FLID-DS's, in either mode. *)
-
-module Replicated :
-  S
-    with type config = Replicated_proto.config
-     and type sender = Replicated_proto.sender
-     and type receiver = Replicated_proto.receiver
-(** Replicated streams.  Default slot: FLID-DS's, in either mode. *)
-
-module Oversub :
-  S
-    with type config = Oversub.config
-     and type sender = Oversub.sender
-     and type receiver = Oversub.receiver
-(** The ECN-EWMA layered law.  Default slot: FLID-DS's, in either
-    mode. *)

@@ -14,44 +14,14 @@ module Special = Mcc_sigma.Special
 module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
 module Tracer = Mcc_obs.Tracer
-module Timeseries = Mcc_obs.Timeseries
 module Json = Mcc_obs.Json
 
-type config = {
-  id : int;
-  base_group : int;
-  layering : Layering.t;
-  slot_duration : float;
-  packet_size : int;
-  width : int;
-  mode : Flid.mode;
-  upgrade_period : int -> int;
-  processing_margin : float;
-}
+type config = Flid.config
 
-let make_config ?(packet_size = 576) ?(width = Key.default_width)
-    ?upgrade_period ?(processing_margin = 0.9) ~id ~base_group ~layering
-    ~slot_duration ~mode () =
-  if slot_duration <= 0. then
-    invalid_arg "Replicated_proto.make_config: slot_duration";
-  let upgrade_period =
-    match upgrade_period with
-    | Some f -> f
-    | None -> Flid.default_upgrade_period layering
-  in
-  {
-    id;
-    base_group;
-    layering;
-    slot_duration;
-    packet_size;
-    width;
-    mode;
-    upgrade_period;
-    processing_margin;
-  }
-
-let group_addr config g = config.base_group + g - 1
+let make_config = Flid.make_config
+let configure = Flid.configure
+let default_slot _ = Flid.default_slot Flid.Robust
+let group_addr = Flid.group_addr
 
 type Payload.t +=
   | Rep_data of {
@@ -125,7 +95,9 @@ let sender_slot_tick s () =
     match config.mode with
     | Flid.Plain -> None
     | Flid.Robust ->
-        let upgrades = Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1)) in
+        let upgrades =
+          Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1))
+        in
         let st =
           Replicated.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
             ~upgrades
@@ -140,7 +112,8 @@ let sender_slot_tick s () =
                 ~keys:(Replicated.valid_keys keys ~group:g) ~minimal:(g = 1))
         in
         ignore
-          (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
+          (Special.distribute ~scheme:config.fec_scheme s.s_topo
+             ~sender:s.s_node ~session:config.id
              ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
              ~slot_duration:config.slot_duration ~tuples ());
         Some st
@@ -173,7 +146,7 @@ let sender_slot_tick s () =
     done
   done
 
-let sender_start ?(at = 0.) topo ~node ~prng config =
+let sender_start ?(at = 0.) topo ~node ~prng (config : config) =
   let n = config.layering.Layering.groups in
   for g = 1 to n do
     Topology.register_group topo ~group:(group_addr config g) ~source:node
@@ -204,7 +177,6 @@ let sender_start ?(at = 0.) topo ~node ~prng config =
 type slot_rec = {
   mutable count : int;
   mutable last_seq : int option;
-  mutable saw_last : bool;
   mutable mask : int;
   delta_recv : Replicated.receiver option;
 }
@@ -242,13 +214,7 @@ let receiver_leave r =
       else if r.r_group >= 1 then [ group_addr config r.r_group ]
       else []
     in
-    (match (config.mode, r.r_client) with
-    | Flid.Robust, Some client when groups <> [] ->
-        Client.unsubscribe client ~groups
-    | (Flid.Robust | Flid.Plain), _ ->
-        List.iter
-          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
-          groups);
+    Flid.depart r.r_topo ~host:r.r_host r.r_client ~groups;
     receiver_stop r
   end
 
@@ -266,7 +232,6 @@ let record_group r =
 
 let lost rec_ =
   rec_.count = 0
-  || (not rec_.saw_last)
   || match rec_.last_seq with Some l -> rec_.count < l + 1 | None -> true
 
 let switch_plain r ~from_group ~to_group =
@@ -410,10 +375,7 @@ let on_data r pkt =
         let rec_ = Slot_clock.slot_rec clock slot in
         if group = r.r_group then begin
           rec_.count <- rec_.count + 1;
-          if last then begin
-            rec_.saw_last <- true;
-            rec_.last_seq <- Some seq
-          end
+          if last then rec_.last_seq <- Some seq
         end;
         rec_.mask <- rec_.mask lor upgrade_mask;
         match rec_.delta_recv with
@@ -426,7 +388,7 @@ let on_data r pkt =
   | _ -> ()
 
 let receiver_start ?(at = 0.) ?(behavior = Flid.Well_behaved) topo ~host ~prng
-    config =
+    (config : config) =
   let n = config.layering.Layering.groups in
   let r =
     {
@@ -447,7 +409,6 @@ let receiver_start ?(at = 0.) ?(behavior = Flid.Well_behaved) topo ~host ~prng
             {
               count = 0;
               last_seq = None;
-              saw_last = false;
               mask = 0;
               delta_recv =
                 (match config.mode with
@@ -463,22 +424,9 @@ let receiver_start ?(at = 0.) ?(behavior = Flid.Well_behaved) topo ~host ~prng
     }
   in
   Slot_clock.bind r.r_clock ~span:(span r) ~eval:(eval_slot r);
-  if Timeseries.enabled () then begin
-    let name suffix =
-      Printf.sprintf "rep.s%d.h%d.%s" config.id host.Node.id suffix
-    in
-    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
-        float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "group") (fun () -> float_of_int r.r_group)
-  end;
-  for g = 1 to n do
-    Node.subscribe_local host ~group:(group_addr config g) (on_data r)
-  done;
-  Sim.post (Topology.sim topo) ~at (fun () ->
-         match (config.mode, r.r_client) with
-         | Flid.Plain, _ ->
-             Multicast.host_join topo ~host ~group:(group_addr config 1)
-         | Flid.Robust, Some client ->
-             Client.session_join client ~group:(group_addr config 1)
-         | Flid.Robust, None -> ());
+  Flid.sample_series ~prefix:"rep" ~id:config.id ~host r.r_meter
+    [ ("group", fun () -> float_of_int r.r_group) ];
+  Flid.attach ~at topo ~host r.r_client
+    ~groups:(List.init n (fun i -> group_addr config (i + 1)))
+    (on_data r);
   r

@@ -11,23 +11,16 @@
     component XOR — enforced by the same generic SIGMA agent that
     guards FLID-DS. *)
 
-type config = {
-  id : int;
-  base_group : int;
-  layering : Layering.t;  (** level g = single group g at rate R_g *)
-  slot_duration : float;
-  packet_size : int;
-  width : int;
-  mode : Flid.mode;  (** [Plain] or [Robust], as for FLID *)
-  upgrade_period : int -> int;
-  processing_margin : float;
-}
+type config = Flid.config
+(** FLID's parameters; the layering's level g is the single group g at
+    rate R_g. *)
 
 val make_config :
   ?packet_size:int ->
   ?width:int ->
   ?upgrade_period:(int -> int) ->
   ?processing_margin:float ->
+  ?fec_scheme:Mcc_sigma.Fec.scheme ->
   id:int ->
   base_group:int ->
   layering:Layering.t ->
@@ -35,8 +28,23 @@ val make_config :
   mode:Flid.mode ->
   unit ->
   config
+(** {!Flid.make_config}. *)
 
 val group_addr : config -> int -> int
+
+(** {2 Protocol registry entry points} (see {!Protocol.S}) *)
+
+val configure :
+  id:int ->
+  base_group:int ->
+  layering:Layering.t ->
+  slot_duration:float ->
+  mode:Flid.mode ->
+  config
+(** [make_config] with every default. *)
+
+val default_slot : Flid.mode -> float
+(** FLID-DS's slot, in either mode. *)
 
 type Mcc_net.Payload.t +=
   | Rep_data of {

@@ -14,7 +14,6 @@ module Special = Mcc_sigma.Special
 module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
 module Tracer = Mcc_obs.Tracer
-module Timeseries = Mcc_obs.Timeseries
 module Json = Mcc_obs.Json
 
 type policy = Ladder | Equation
@@ -64,6 +63,10 @@ let make_config ?(packet_size = 576) ?(base_threshold = 0.25)
     processing_margin;
   }
 
+let configure ~id ~base_group ~layering ~slot_duration ~mode =
+  make_config ~id ~base_group ~layering ~slot_duration ~mode ()
+
+let default_slot _ = Flid.default_slot Flid.Robust
 let group_addr config g = config.base_group + g - 1
 
 let threshold config ~level =
@@ -104,7 +107,7 @@ let () =
 (* ----------------------------------------------------------------- *)
 
 type slot_state = {
-  top : Threshold.sender;
+  top : Threshold.sender option;  (* Robust mode only *)
   inc : Threshold.sender option;  (* levels 1..N-1; key l guards level l+1 *)
   mask : int;
 }
@@ -132,13 +135,15 @@ let data_bits s = s.s_data_bits
 let thresholds config n =
   Array.init n (fun i -> threshold config ~level:(i + 1))
 
-let emit s ~group ~slot ~seq ~last ~repair ~state ~counts () =
+let emit s ~group ~slot ~seq ~last ~repair ~state () =
   if not s.s_stopped then begin
     let config = s.s_config in
     let n = config.layering.Layering.groups in
     let packet_index = seq + 1 in
     let top_shares =
-      Threshold.shares_for_packet state.top ~group ~packet_index
+      match state.top with
+      | Some top -> Threshold.shares_for_packet top ~group ~packet_index
+      | None -> []
     in
     let inc_shares =
       match state.inc with
@@ -146,11 +151,11 @@ let emit s ~group ~slot ~seq ~last ~repair ~state ~counts () =
           (* Shares of increase keys, only for authorized targets. *)
           List.filter_map
             (fun (l, share) ->
-              if Layering.mask_bit state.mask (l + 1) then Some (l + 1, share) else None)
+              if Layering.mask_bit state.mask (l + 1) then Some (l + 1, share)
+              else None)
             (Threshold.shares_for_packet inc ~group ~packet_index)
       | Some _ | None -> []
     in
-    ignore counts;
     let share_bytes = 4 * (List.length top_shares + List.length inc_shares) in
     s.s_share_bits <- s.s_share_bits + (8 * share_bytes);
     s.s_data_bits <- s.s_data_bits + (8 * config.packet_size);
@@ -205,12 +210,7 @@ let sender_slot_tick s () =
   in
   let state =
     match config.mode with
-    | Flid.Plain ->
-        { top = Threshold.sender_create ~prng:s.s_prng ~levels:1
-                  ~per_group_counts:[| 1 |] ~loss_thresholds:[| 0.5 |];
-          inc = None;
-          mask }
-        (* placeholder, unused in Plain mode *)
+    | Flid.Plain -> { top = None; inc = None; mask }
     | Flid.Robust ->
         let top =
           Threshold.sender_create ~prng:s.s_prng ~levels:n
@@ -242,7 +242,7 @@ let sender_slot_tick s () =
           (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
              ~via_group:(group_addr config 1) ~width:31 ~slot:guarded
              ~slot_duration:config.slot_duration ~tuples ());
-        { top; inc; mask }
+        { top = Some top; inc; mask }
   in
   for g = 1 to n do
     let count = counts.(g - 1) in
@@ -253,28 +253,7 @@ let sender_slot_tick s () =
       let repair = i >= originals.(g - 1) in
       Sim.post sim
            ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-           (fun () ->
-             if config.mode = Flid.Robust then
-               emit s ~group:g ~slot ~seq:i ~last ~repair ~state ~counts ()
-             else begin
-               s.s_data_bits <- s.s_data_bits + (8 * config.packet_size);
-               Node.originate s.s_node
-                 (Packet.make ~src:s.s_node.Node.id
-                    ~dst:(Packet.Multicast (group_addr config g))
-                    ~size:config.packet_size
-                    (Rlm_data
-                       {
-                         session = config.id;
-                         group = g;
-                         slot;
-                         seq = i;
-                         last;
-                         repair;
-                         upgrade_mask = state.mask;
-                         top_shares = [];
-                         inc_shares = [];
-                       }))
-             end)
+           (emit s ~group:g ~slot ~seq:i ~last ~repair ~state)
     done
   done
 
@@ -320,7 +299,6 @@ let sender_start ?(at = 0.) topo ~node ~prng config =
 type group_slot_rec = {
   mutable count : int;
   mutable last_seq : int option;
-  mutable saw_last : bool;
 }
 
 type slot_rec = {
@@ -334,7 +312,6 @@ type receiver = {
   r_config : config;
   r_topo : Topology.t;
   r_host : Node.t;
-  r_prng : Prng.t;
   r_meter : Meter.t;
   mutable r_level : int;
   r_active_since : int array;
@@ -352,35 +329,21 @@ let receiver_stop r = Slot_clock.stop r.r_clock
 
 let receiver_leave r =
   if not (Slot_clock.stopped r.r_clock) then begin
-    let config = r.r_config in
-    let groups =
-      List.init (max 0 r.r_level) (fun i -> group_addr config (i + 1))
-    in
-    (match (config.mode, r.r_client) with
-    | Flid.Robust, Some client when groups <> [] ->
-        Client.unsubscribe client ~groups
-    | (Flid.Robust | Flid.Plain), _ ->
-        List.iter
-          (fun group -> Multicast.host_leave r.r_topo ~host:r.r_host ~group)
-          groups);
+    Flid.depart r.r_topo ~host:r.r_host r.r_client
+      ~groups:
+        (List.init (max 0 r.r_level) (fun i -> group_addr r.r_config (i + 1)));
     receiver_stop r
   end
 
-let[@hot] rec climb r slot e =
-  if e >= r.r_level then r.r_level
-  else if r.r_active_since.(e) <= slot then climb r slot (e + 1)
-  else e
-
 let[@hot] effective_level r slot =
-  if r.r_active_since.(0) <= slot then climb r slot 1 else 0
+  Layering.effective_level r.r_active_since ~level:r.r_level slot
 
 (* Expected packets of a group this slot, falling back to the rate-based
    estimate when even the last packet was lost. *)
 let expected r rec_ g =
   let gs = rec_.per_group.(g - 1) in
   match gs.last_seq with
-  | Some l when gs.saw_last -> l + 1
-  | Some l -> l + 2
+  | Some l -> l + 1
   | None ->
       if gs.count > 0 then gs.count + 1
       else
@@ -435,7 +398,8 @@ let eval_slot r slot rec_ =
         in
         descend (g - 1)
       end
-      else if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1) then g + 1
+      else if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1)
+      then g + 1
       else min g r.r_level
     in
     let equation_target () =
@@ -450,7 +414,8 @@ let eval_slot r slot rec_ =
       in
       if desired > g then
         (* Upgrades remain gated by increase-key authorization. *)
-        if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1) then g + 1
+        if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1)
+        then g + 1
         else min g r.r_level
       else desired
     in
@@ -551,10 +516,7 @@ let on_data r pkt =
         let rec_ = Slot_clock.slot_rec clock slot in
         let gs = rec_.per_group.(group - 1) in
         gs.count <- gs.count + 1;
-        if last then begin
-          gs.saw_last <- true;
-          gs.last_seq <- Some seq
-        end;
+        if last then gs.last_seq <- Some seq;
         rec_.mask <- rec_.mask lor upgrade_mask;
         Threshold.on_shares rec_.top_recv top_shares;
         Threshold.on_shares rec_.inc_recv
@@ -563,14 +525,13 @@ let on_data r pkt =
       Slot_clock.try_eval clock
   | _ -> ()
 
-let receiver_start ?(at = 0.) topo ~host ~prng config =
+let receiver_start ?(at = 0.) ?behavior:_ topo ~host ~prng:_ config =
   let n = config.layering.Layering.groups in
   let r =
     {
       r_config = config;
       r_topo = topo;
       r_host = host;
-      r_prng = prng;
       r_meter = Meter.create ();
       r_level = 1;
       r_active_since = Array.make n max_int;
@@ -581,8 +542,7 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
           ~fresh:(fun () ->
             {
               per_group =
-                Array.init n (fun _ ->
-                    { count = 0; last_seq = None; saw_last = false });
+                Array.init n (fun _ -> { count = 0; last_seq = None });
               top_recv = Threshold.receiver_create ~levels:n;
               inc_recv = Threshold.receiver_create ~levels:(max 1 (n - 1));
               mask = 0;
@@ -596,15 +556,8 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
     }
   in
   Slot_clock.bind r.r_clock ~span:(effective_level r) ~eval:(eval_slot r);
-  if Timeseries.enabled () then begin
-    let name suffix =
-      Printf.sprintf "rlm.s%d.h%d.%s" config.id host.Node.id suffix
-    in
-    Timeseries.sample_rate ~scale:0.008 (name "goodput_kbps") (fun () ->
-        float_of_int (Meter.total_bytes r.r_meter));
-    Timeseries.sample_gauge (name "level") (fun () -> float_of_int r.r_level)
-  end;
-  ignore r.r_prng;
+  Flid.sample_series ~prefix:"rlm" ~id:config.id ~host r.r_meter
+    [ ("level", fun () -> float_of_int r.r_level) ];
   (match config.policy with
   | Equation ->
       (* RTT probing toward the session source, one probe per second. *)
@@ -636,14 +589,7 @@ let receiver_start ?(at = 0.) topo ~host ~prng config =
                            }))
                | None -> ()))
   | Ladder -> ());
-  for g = 1 to n do
-    Node.subscribe_local host ~group:(group_addr config g) (on_data r)
-  done;
-  Sim.post (Topology.sim topo) ~at (fun () ->
-         match (config.mode, r.r_client) with
-         | Flid.Plain, _ ->
-             Multicast.host_join topo ~host ~group:(group_addr config 1)
-         | Flid.Robust, Some client ->
-             Client.session_join client ~group:(group_addr config 1)
-         | Flid.Robust, None -> ());
+  Flid.attach ~at topo ~host r.r_client
+    ~groups:(List.init n (fun i -> group_addr config (i + 1)))
+    (on_data r);
   r

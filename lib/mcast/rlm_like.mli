@@ -71,6 +71,20 @@ val make_config :
 
 val group_addr : config -> int -> int
 
+(** {2 Protocol registry entry points} (see {!Protocol.S}) *)
+
+val configure :
+  id:int ->
+  base_group:int ->
+  layering:Layering.t ->
+  slot_duration:float ->
+  mode:Flid.mode ->
+  config
+(** [make_config] with every default. *)
+
+val default_slot : Flid.mode -> float
+(** FLID-DS's slot, in either mode. *)
+
 val threshold : config -> level:int -> float
 (** theta_g. *)
 
@@ -111,11 +125,14 @@ type receiver
 
 val receiver_start :
   ?at:float ->
+  ?behavior:Flid.behavior ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
   config ->
   receiver
+(** [behavior] is ignored: only well-behaved threshold receivers are
+    modelled. *)
 
 val receiver_meter : receiver -> Mcc_util.Meter.t
 val receiver_level : receiver -> int

@@ -41,14 +41,12 @@ let stop t = t.stopped <- true
 let stopped t = t.stopped
 let next_eval t = t.next_eval
 
-let new_slot_rec t slot =
-  let rec_ = t.fresh () in
-  Hashtbl.replace t.slots slot rec_;
-  rec_
-
 let[@hot] slot_rec t slot =
   match Hashtbl.find t.slots slot with
-  | exception Not_found -> new_slot_rec t slot
+  | exception Not_found ->
+      let rec_ = t.fresh () in
+      Hashtbl.replace t.slots slot rec_;
+      rec_
   | rec_ -> rec_
 
 let eval_slot t slot =

@@ -69,11 +69,12 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
   (* The sender goes up immediately; [start] realises one receiver
      instance and returns its meter and its orderly departure. *)
   let (module P) = Spec.protocol_impl p.Spec.protocol in
-  let config =
+  let configure mode =
     P.configure ~id ~base_group ~layering ~slot_duration:slot ~mode
   in
+  let config = configure mode in
   let rconfig =
-    match receiver_mode with Some m -> P.with_mode config m | None -> config
+    match receiver_mode with Some m -> configure m | None -> config
   in
   ignore
     (P.sender_start topo ~node:built.Topo_gen.sender ~prng:(Prng.split prng)

@@ -72,9 +72,10 @@ let protocol_of_string ctx s =
   with
   | Some r -> Ok r.Spec.tag
   | None ->
+      let names = List.map (fun r -> r.Spec.short) Spec.protocols in
       err ctx
         (Printf.sprintf "unknown protocol %S (one of: %s)" s
-           (String.concat ", " (List.map (fun r -> r.Spec.short) Spec.protocols)))
+           (String.concat ", " names))
 
 let defences =
   [ Spec.Undefended; Spec.Delta_only; Spec.Delta_sigma; Spec.Delta_sigma_ecn ]

@@ -262,11 +262,11 @@ let test_three_protocol_coexistence () =
       ~receivers:[ Scenario.receiver () ] ()
   in
   let rep =
-    Scenario.add_session (module Mcc_mcast.Protocol.Replicated) t
+    Scenario.add_session (module Mcc_mcast.Replicated_proto) t
       ~mode:Flid.Robust ~receivers:[ Scenario.receiver () ] ()
   in
   let rlm =
-    Scenario.add_session (module Mcc_mcast.Protocol.Rlm) t ~mode:Flid.Robust
+    Scenario.add_session (module Mcc_mcast.Rlm_like) t ~mode:Flid.Robust
       ~receivers:[ Scenario.receiver () ] ()
   in
   Scenario.run t ~seconds:40.;
@@ -282,7 +282,7 @@ let test_three_protocol_coexistence () =
        (Mcc_mcast.Rlm_like.receiver_meter (List.hd rlm.Scenario.receivers)));
   (* Disjoint group address ranges. *)
   let fb = flid.Scenario.config.Flid.base_group in
-  let rb = rep.Scenario.config.Mcc_mcast.Replicated_proto.base_group in
+  let rb = rep.Scenario.config.Flid.base_group in
   let lb = rlm.Scenario.config.Mcc_mcast.Rlm_like.base_group in
   Alcotest.(check bool) "disjoint ranges" true
     (rb >= fb + Defaults.groups && lb >= rb + Defaults.groups)

@@ -11,7 +11,6 @@ let config ?(allow = []) ?build_dir rules =
     Lint.rules;
     allowlist = allow;
     build_dir;
-    registry = Lint.default_registry;
   }
 
 let check ?allow rules file =

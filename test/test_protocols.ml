@@ -262,7 +262,7 @@ let test_oversub_inflater () =
       Scenario.create ~seed:9 ~sigma ~bottleneck_rate_bps:1_000_000. ()
     in
     let s =
-      Scenario.add_session (module Mcc_mcast.Protocol.Oversub) t ~mode
+      Scenario.add_session (module Mcc_mcast.Oversub) t ~mode
         ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after 10.) () ]
         ()
     in

@@ -255,7 +255,7 @@ let test_oversub_session () =
       ~bottleneck_rate_bps:1_000_000. ()
   in
   let s =
-    Scenario.add_session (module Mcc_mcast.Protocol.Oversub) t
+    Scenario.add_session (module Mcc_mcast.Oversub) t
       ~mode:Flid.Robust ~receivers:[ Scenario.receiver () ] ()
   in
   Scenario.run t ~seconds:30.;
