@@ -32,6 +32,7 @@ module Report = Mcc_core.Report
 module Runner = Mcc_core.Runner
 module Spec = Mcc_core.Spec
 module Flid = Mcc_mcast.Flid
+module Slot_sender = Mcc_mcast.Slot_sender
 module Metrics = Mcc_obs.Metrics
 module Profile = Mcc_obs.Profile
 module Scheduler = Mcc_engine.Scheduler
@@ -279,7 +280,7 @@ let ablation_fec () =
       in
       let stats = Flid.sender_stats session.Mcc_core.Scenario.sender in
       Format.fprintf fmt "%-18s %8.1f %12d %10.2f@." label honest misses
-        stats.Flid.fec_expansion)
+        stats.Slot_sender.fec_expansion)
     [
       ("repetition-1", Mcc_sigma.Fec.Repetition 1);
       ("repetition-2", Mcc_sigma.Fec.Repetition 2);
@@ -348,12 +349,12 @@ let ablation_slot () =
       in
       let stats = Flid.sender_stats session.Mcc_core.Scenario.sender in
       let overhead =
-        if stats.Flid.data_bits = 0 then 0.
+        if stats.Slot_sender.data_bits = 0 then 0.
         else
           100.
           *. float_of_int
-               (stats.Flid.sigma_payload_bits + stats.Flid.sigma_header_bits)
-          /. float_of_int stats.Flid.data_bits
+               (stats.Slot_sender.sigma_payload_bits + stats.Slot_sender.sigma_header_bits)
+          /. float_of_int stats.Slot_sender.data_bits
       in
       Format.fprintf fmt "%6.3f %10.1f %14.1f %12.1f %12.3f@." slot
         (Mcc_util.Meter.mean_kbps meter ~lo:30. ~hi:45.)
@@ -380,8 +381,8 @@ let ablation_threshold () =
   Mcc_core.Scenario.run t ~seconds;
   let stats = Flid.sender_stats session.Mcc_core.Scenario.sender in
   let xor_pct =
-    100. *. float_of_int stats.Flid.delta_bits
-    /. float_of_int (max 1 stats.Flid.data_bits)
+    100. *. float_of_int stats.Slot_sender.delta_bits
+    /. float_of_int (max 1 stats.Slot_sender.data_bits)
   in
   (* Shamir threshold scheme. *)
   let module Rlm = Mcc_mcast.Rlm_like in
@@ -409,10 +410,11 @@ let ablation_threshold () =
   in
   Dumbbell.finalize db;
   Mcc_engine.Sim.run_until sim seconds;
+  let stats = Rlm.sender_stats sender in
   let shamir_pct =
     100.
-    *. float_of_int (Rlm.share_overhead_bits sender)
-    /. float_of_int (max 1 (Rlm.data_bits sender))
+    *. float_of_int stats.Slot_sender.delta_bits
+    /. float_of_int (max 1 stats.Slot_sender.data_bits)
   in
   Format.fprintf fmt "# scheme             in-band overhead (%% of data bits)@.";
   Format.fprintf fmt "xor (FLID-DS)        %.3f@." xor_pct;

@@ -171,14 +171,17 @@ grep -q "contained" /tmp/scorecard.md
 grep -q "DELTA+SIGMA contains every attack" /tmp/scorecard.md
 
 # Workload smoke: every committed workload file must validate, and a
-# run through the declarative pipeline must stay byte-identical across
-# job counts, just like the matrix above.
+# run of each through the declarative pipeline must stay byte-identical
+# across job counts, just like the matrix above.  Together the files
+# drive every protocol's sender and receiver.
 dune exec bin/mcc.exe -- workload check --all
-dune exec bin/mcc.exe -- workload run workloads/fat_tree_flash_crowd.json \
-  --quick --json /tmp/workload1.jsonl --quiet
-dune exec bin/mcc.exe -- workload run workloads/fat_tree_flash_crowd.json \
-  --quick --jobs 4 --json /tmp/workload2.jsonl --quiet
-cmp /tmp/workload1.jsonl /tmp/workload2.jsonl
+for WORKLOAD in workloads/*.json; do
+  dune exec bin/mcc.exe -- workload run "$WORKLOAD" \
+    --quick --json /tmp/workload1.jsonl --quiet
+  dune exec bin/mcc.exe -- workload run "$WORKLOAD" \
+    --quick --jobs 2 --json /tmp/workload2.jsonl --quiet
+  cmp /tmp/workload1.jsonl /tmp/workload2.jsonl
+done
 # ... and a malformed document must be rejected with a nonzero exit.
 printf '{"version": 1, "name": "bad"}\n' > /tmp/bad-workload.json
 if dune exec bin/mcc.exe -- workload check /tmp/bad-workload.json \

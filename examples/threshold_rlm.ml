@@ -14,6 +14,7 @@ module Sim = Mcc_engine.Sim
 module Dumbbell = Mcc_core.Dumbbell
 module Defaults = Mcc_core.Defaults
 module Flid = Mcc_mcast.Flid
+module Slot_sender = Mcc_mcast.Slot_sender
 module Rlm = Mcc_mcast.Rlm_like
 module Router_agent = Mcc_sigma.Router_agent
 module On_off = Mcc_transport.On_off
@@ -69,10 +70,11 @@ let () =
     (Rlm.receiver_level receiver);
   Printf.printf "  mean throughput 20-60 s:   %.0f kbps\n"
     (Meter.mean_kbps (Rlm.receiver_meter receiver) ~lo:20. ~hi:60.);
+  let stats = Rlm.sender_stats sender in
   let share_pct =
     100.
-    *. float_of_int (Rlm.share_overhead_bits sender)
-    /. float_of_int (Rlm.data_bits sender)
+    *. float_of_int stats.Slot_sender.delta_bits
+    /. float_of_int stats.Slot_sender.data_bits
   in
   Printf.printf "\n  Shamir share overhead:     %.2f%% of data bits\n" share_pct;
   Printf.printf "  XOR-scheme overhead:       ~0.79%% (paper Section 5.4)\n";

@@ -1,4 +1,5 @@
 module Flid = Mcc_mcast.Flid
+module Slot_sender = Mcc_mcast.Slot_sender
 module Layering = Mcc_mcast.Layering
 module Meter = Mcc_util.Meter
 module Tcp = Mcc_transport.Tcp
@@ -302,10 +303,10 @@ let run_overhead (p : Spec.overhead_params) =
   in
   Scenario.run t ~seconds:duration;
   let stats = Flid.sender_stats session.Scenario.sender in
-  let slots = max 1 stats.Flid.slots in
+  let slots = max 1 stats.Slot_sender.slots in
   let upgrade_freq =
     Array.init (max 0 (groups - 1)) (fun i ->
-        float_of_int stats.Flid.authorizations.(i + 1) /. float_of_int slots)
+        float_of_int stats.Slot_sender.authorizations.(i + 1) /. float_of_int slots)
   in
   let params =
     {
@@ -316,21 +317,21 @@ let run_overhead (p : Spec.overhead_params) =
       data_bits = packet_size * 8;
       key_bits = 16;
       slot_number_bits = 8;
-      fec_expansion = stats.Flid.fec_expansion;
+      fec_expansion = stats.Slot_sender.fec_expansion;
       header_bits =
-        (if slots = 0 then 0 else stats.Flid.sigma_header_bits / slots);
+        (if slots = 0 then 0 else stats.Slot_sender.sigma_header_bits / slots);
       upgrade_freq;
     }
   in
   let measured_delta =
-    if stats.Flid.data_bits = 0 then 0.
-    else float_of_int stats.Flid.delta_bits /. float_of_int stats.Flid.data_bits
+    if stats.Slot_sender.data_bits = 0 then 0.
+    else float_of_int stats.Slot_sender.delta_bits /. float_of_int stats.Slot_sender.data_bits
   in
   let measured_sigma =
-    if stats.Flid.data_bits = 0 then 0.
+    if stats.Slot_sender.data_bits = 0 then 0.
     else
-      float_of_int (stats.Flid.sigma_payload_bits + stats.Flid.sigma_header_bits)
-      /. float_of_int stats.Flid.data_bits
+      float_of_int (stats.Slot_sender.sigma_payload_bits + stats.Slot_sender.sigma_header_bits)
+      /. float_of_int stats.Slot_sender.data_bits
   in
   {
     x = (match axis with Spec.Groups -> float_of_int groups | Spec.Slot -> slot);

@@ -9,15 +9,13 @@ module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Layered = Mcc_delta.Layered
-module Tuple = Mcc_sigma.Tuple
-module Special = Mcc_sigma.Special
 module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
 module Tracer = Mcc_obs.Tracer
 module Timeseries = Mcc_obs.Timeseries
 module Json = Mcc_obs.Json
 
-type mode = Plain | Robust
+type mode = Slot_sender.mode = Plain | Robust
 
 type config = {
   id : int;
@@ -89,219 +87,28 @@ let () =
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
 
-type sender_stats = {
-  mutable slots : int;
-  mutable data_bits : int;
-  mutable delta_bits : int;
-  mutable sigma_payload_bits : int;
-  mutable sigma_header_bits : int;
-  mutable sigma_packets : int;
-  mutable authorizations : int array;
-  mutable fec_expansion : float;
-}
+type sender = Layered.sender Slot_sender.t
 
-type sender = {
-  s_config : config;
-  s_topo : Topology.t;
-  s_node : Node.t;
-  s_prng : Prng.t;
-  mutable s_slot : int;
-  s_credits : float array;  (* fractional packets carried across slots *)
-  mutable s_keys : (int * Layered.keys) list;  (* (guarded slot, keys) *)
-  s_stats : sender_stats;
-  mutable s_tick : Sim.handle option;
-  mutable s_stopped : bool;
-  (* Emission state of the slot in progress.  The last packet of slot k
-     is due strictly before tick k+1 (see [sender_slot_tick_body]), so
-     one slot's state per sender is enough. *)
-  mutable s_cur_slot : int;
-  mutable s_cur_mask : int;
-  mutable s_cur_delta : Layered.sender option;
-  s_count : int array;  (* per group: packets in the current slot *)
-  s_next_seq : int array;  (* per group: seq of the next packet due *)
-  s_emit : (unit -> unit) array;
-      (* per group, built once: emits the group's next packet *)
-}
+let sender_session config =
+  { Slot_sender.id = config.id; base_group = config.base_group;
+    layering = config.layering; slot_duration = config.slot_duration;
+    packet_size = config.packet_size; upgrade_period = config.upgrade_period }
 
-let sender_stats s = s.s_stats
+let sender_start ?at topo ~node ~prng config =
+  Slot_sender.start ?at topo ~node ~prng
+    ~rate:(fun g -> Layering.layer_rate config.layering ~group:g)
+    ~repair_fraction:0. (sender_session config)
+    (Slot_sender.xor (module Layered) config.mode ~width:config.width
+       ~fec:config.fec_scheme ~payload:(fun d ->
+         Data
+           { session = config.id; group = d.group; slot = d.slot; seq = d.seq;
+             last = d.last; upgrade_mask = d.mask }))
 
-let sender_stop s =
-  s.s_stopped <- true;
-  match s.s_tick with Some h -> Sim.cancel h | None -> ()
+let sender_stats = Slot_sender.stats
+let sender_stop = Slot_sender.stop
 
-let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
-
-(* Not [@hot]: it builds the packet, which originating one must do. *)
-let emit_packet s ~group ~seq ~last ~component ~decrease =
-  if not s.s_stopped then begin
-    let config = s.s_config in
-    let field_bytes =
-      if component = Key.none then 0
-      else Key.fields_bytes ~width:config.width ~decrease:(decrease <> Key.none)
-    in
-    let pkt =
-      Packet.make ~src:s.s_node.Node.id
-        ~dst:(Packet.Multicast (group_addr config group))
-        ~size:(config.packet_size + field_bytes)
-        (Data
-           { session = config.id; group; slot = s.s_cur_slot; seq; last;
-             upgrade_mask = s.s_cur_mask })
-    in
-    pkt.Packet.delta_component <- component;
-    pkt.Packet.delta_decrease <- decrease;
-    s.s_stats.data_bits <- s.s_stats.data_bits + (config.packet_size * 8);
-    s.s_stats.delta_bits <- s.s_stats.delta_bits + (field_bytes * 8);
-    Mcc_obs.Lineage.set_origin pkt.Packet.lineage ~session:config.id
-      ~level:group
-      ~time:(Sim.now (Topology.sim s.s_topo));
-    Node.originate s.s_node pkt
-  end
-
-(* Group [g]'s emitter: the tick posts it once per packet of the slot,
-   and each firing emits the group's next packet.  Its DELTA fields are
-   drawn at the emission instant, whether or not the sender has been
-   stopped since, so the key PRNG advances exactly as the slot planned. *)
-let[@hot] emit_next s g =
-  let seq = s.s_next_seq.(g - 1) in
-  if seq >= s.s_count.(g - 1) then
-    invalid_arg "Flid: emission past the end of the slot";
-  s.s_next_seq.(g - 1) <- seq + 1;
-  let last = seq = s.s_count.(g - 1) - 1 in
-  match s.s_cur_delta with
-  | Some st ->
-      let decrease = Layered.decrease_field st ~group:g in
-      let component = Layered.next_component st ~group:g ~last in
-      emit_packet s ~group:g ~seq ~last ~component ~decrease
-  | None ->
-      emit_packet s ~group:g ~seq ~last ~component:Key.none ~decrease:Key.none
-
-(* One tick per slot: decide the slot's upgrade authorizations, draw the
-   DELTA key material guarding slot+2, distribute the tuples through
-   SIGMA, and schedule every data packet of the slot through the
-   groups' emitters.  Each packet's fields are computed at its own
-   emission instant.  The last packet of group g leaves at
-   [phase + (count-1) * spacing = (count - 1 + g/(n+1)) * spacing],
-   strictly inside the slot, so every emission of slot k precedes tick
-   k+1 and the tick may overwrite the sender's slot state. *)
-let sender_slot_tick_body s () =
-  let config = s.s_config in
-  let sim = Topology.sim s.s_topo in
-  let tick_now = Sim.now sim in
-  let n = config.layering.Layering.groups in
-  let slot = s.s_slot in
-  s.s_slot <- slot + 1;
-  let mask =
-    Layering.upgrade_mask config.layering ~period:config.upgrade_period slot
-  in
-  s.s_stats.slots <- s.s_stats.slots + 1;
-  for g = 2 to n do
-    if Layering.mask_bit mask g then
-      s.s_stats.authorizations.(g - 1) <- s.s_stats.authorizations.(g - 1) + 1
-  done;
-  let delta_state =
-    match config.mode with
-    | Plain -> None
-    | Robust ->
-        let upgrades =
-          Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1))
-        in
-        let st =
-          Layered.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
-            ~upgrades
-        in
-        let keys = Layered.sender_keys st in
-        let guarded = slot + 2 in
-        s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
-        let tuples =
-          List.init n (fun i ->
-              let g = i + 1 in
-              Tuple.make ~group:(group_addr config g) ~slot:guarded
-                ~keys:(Layered.valid_keys keys ~group:g) ~minimal:(g = 1))
-        in
-        let stats =
-          Special.distribute ~scheme:config.fec_scheme s.s_topo
-            ~sender:s.s_node ~session:config.id
-            ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
-            ~slot_duration:config.slot_duration ~tuples ()
-        in
-        s.s_stats.sigma_payload_bits <-
-          s.s_stats.sigma_payload_bits + stats.Special.payload_bits;
-        s.s_stats.sigma_header_bits <-
-          s.s_stats.sigma_header_bits + stats.Special.header_bits;
-        s.s_stats.sigma_packets <-
-          s.s_stats.sigma_packets + stats.Special.packets;
-        s.s_stats.fec_expansion <- stats.Special.expansion;
-        Some st
-  in
-  s.s_cur_slot <- slot;
-  s.s_cur_mask <- mask;
-  s.s_cur_delta <- delta_state;
-  for g = 1 to n do
-    let rate = Layering.layer_rate config.layering ~group:g in
-    s.s_credits.(g - 1) <-
-      s.s_credits.(g - 1)
-      +. (rate *. config.slot_duration /. float_of_int (config.packet_size * 8));
-    let count = max 1 (int_of_float s.s_credits.(g - 1)) in
-    s.s_credits.(g - 1) <- s.s_credits.(g - 1) -. float_of_int count;
-    let spacing = config.slot_duration /. float_of_int count in
-    (* De-phase groups so slot starts are not synchronized bursts. *)
-    let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
-    s.s_count.(g - 1) <- count;
-    s.s_next_seq.(g - 1) <- 0;
-    for i = 0 to count - 1 do
-      Sim.post sim
-        ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-        s.s_emit.(g - 1)
-    done
-  done
-
-let sender_slot_tick s () =
-  let prof = Mcc_obs.Prof.span "flid" in
-  sender_slot_tick_body s ();
-  Mcc_obs.Prof.finish prof
-
-let sender_start ?(at = 0.) topo ~node ~prng config =
-  let n = config.layering.Layering.groups in
-  let sim = Topology.sim topo in
-  for g = 1 to n do
-    Topology.register_group topo ~group:(group_addr config g) ~source:node
-  done;
-  let s =
-    {
-      s_config = config;
-      s_topo = topo;
-      s_node = node;
-      s_prng = prng;
-      s_slot = 0;
-      s_credits = Array.make n 0.;
-      s_keys = [];
-      s_stats =
-        {
-          slots = 0;
-          data_bits = 0;
-          delta_bits = 0;
-          sigma_payload_bits = 0;
-          sigma_header_bits = 0;
-          sigma_packets = 0;
-          authorizations = Array.make n 0;
-          fec_expansion = 1.;
-        };
-      s_tick = None;
-      s_stopped = false;
-      s_cur_slot = 0;
-      s_cur_mask = 0;
-      s_cur_delta = None;
-      s_count = Array.make n 0;
-      s_next_seq = Array.make n 0;
-      s_emit = Array.make n ignore;
-    }
-  in
-  for g = 1 to n do
-    s.s_emit.(g - 1) <- (fun () -> emit_next s g)
-  done;
-  s.s_tick <-
-    Some (Sim.every sim ~start:at ~period:config.slot_duration (sender_slot_tick s));
-  s
+let sender_keys_for_slot s ~slot =
+  Option.map Layered.sender_keys (Slot_sender.keys_for_slot s ~slot)
 
 (* ----------------------------------------------------------------- *)
 (* Receiver                                                          *)

@@ -18,7 +18,7 @@
     plain IGMP-style join/leave, which is what the inflated-subscription
     attack exploits. *)
 
-type mode = Plain | Robust
+type mode = Slot_sender.mode = Plain | Robust
 
 type config = {
   id : int;  (** session id *)
@@ -97,21 +97,13 @@ type Mcc_net.Payload.t +=
     [delta_decrease]), not in the payload, so an edge router rewrites a
     branch copy's fields without allocating a new payload. *)
 
-(** {1 Sender} *)
-
-type sender_stats = {
-  mutable slots : int;
-  mutable data_bits : int;
-  mutable delta_bits : int;
-  mutable sigma_payload_bits : int;
-  mutable sigma_header_bits : int;
-  mutable sigma_packets : int;
-  mutable authorizations : int array;
-      (** [authorizations.(g-1)]: slots that authorized an upgrade to g *)
-  mutable fec_expansion : float;  (** z of the last slot's encoding *)
-}
+(** {1 Sender} {!Slot_sender} with the layered XOR scheme
+    ({!Mcc_delta.Layered} fields in the header words). *)
 
 type sender
+
+val sender_session : config -> Slot_sender.session
+(** The slot sender's view of a configuration. *)
 
 val sender_start :
   ?at:float ->
@@ -123,13 +115,13 @@ val sender_start :
 (** Registers the session's groups with the topology and begins slot
     ticking and per-group emission at [at] (default 0). *)
 
-val sender_stats : sender -> sender_stats
+val sender_stats : sender -> Slot_sender.stats
 val sender_stop : sender -> unit
 
 val sender_keys_for_slot :
   sender -> slot:int -> Mcc_delta.Layered.keys option
-(** Keys guarding [slot] (Robust mode; the two most recent slots are
-    retained).  Exposed for tests. *)
+(** Keys guarding [slot] (Robust mode; the four most recently guarded
+    slots are retained).  Exposed for tests. *)
 
 (** {1 Receivers} *)
 

@@ -85,7 +85,7 @@ val sender_start :
   config ->
   sender
 
-val sender_stats : sender -> Flid.sender_stats
+val sender_stats : sender -> Slot_sender.stats
 val sender_stop : sender -> unit
 
 (** {1 Receiver}

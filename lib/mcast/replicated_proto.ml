@@ -9,8 +9,6 @@ module Series = Mcc_util.Series
 module Prng = Mcc_util.Prng
 module Key = Mcc_delta.Key
 module Replicated = Mcc_delta.Replicated
-module Tuple = Mcc_sigma.Tuple
-module Special = Mcc_sigma.Special
 module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
 module Tracer = Mcc_obs.Tracer
@@ -44,131 +42,22 @@ let () =
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
 
-type sender = {
-  s_config : config;
-  s_topo : Topology.t;
-  s_node : Node.t;
-  s_prng : Prng.t;
-  mutable s_slot : int;
-  s_credits : float array;
-  mutable s_keys : (int * Replicated.keys) list;
-  mutable s_tick : Sim.handle option;
-  mutable s_stopped : bool;
-}
+type sender = Replicated.sender Slot_sender.t
 
-let sender_stop s =
-  s.s_stopped <- true;
-  match s.s_tick with Some h -> Sim.cancel h | None -> ()
+(* Each group carries the full content: group g transmits at the
+   cumulative rate R_g, not a layer residue. *)
+let sender_start ?at topo ~node ~prng (config : config) =
+  Slot_sender.start ?at topo ~node ~prng
+    ~rate:(fun g -> Layering.cumulative_rate config.layering ~level:g)
+    ~repair_fraction:0. (Flid.sender_session config)
+    (Slot_sender.xor (module Replicated) config.mode ~width:config.width
+       ~fec:config.fec_scheme ~payload:(fun d ->
+         Rep_data
+           { session = config.id; group = d.group; slot = d.slot; seq = d.seq;
+             last = d.last; upgrade_mask = d.mask }))
 
-let sender_keys_for_slot s ~slot = List.assoc_opt slot s.s_keys
-
-let emit s ~group ~slot ~seq ~last ~mask ~component ~decrease =
-  if not s.s_stopped then begin
-    let config = s.s_config in
-    let field_bytes =
-      if component = Key.none then 0
-      else Key.fields_bytes ~width:config.width ~decrease:(decrease <> Key.none)
-    in
-    let pkt =
-      Packet.make ~src:s.s_node.Node.id
-        ~dst:(Packet.Multicast (group_addr config group))
-        ~size:(config.packet_size + field_bytes)
-        (Rep_data
-           { session = config.id; group; slot; seq; last; upgrade_mask = mask })
-    in
-    pkt.Packet.delta_component <- component;
-    pkt.Packet.delta_decrease <- decrease;
-    Node.originate s.s_node pkt
-  end
-
-let sender_slot_tick s () =
-  let config = s.s_config in
-  let sim = Topology.sim s.s_topo in
-  let tick_now = Sim.now sim in
-  let n = config.layering.Layering.groups in
-  let slot = s.s_slot in
-  s.s_slot <- slot + 1;
-  let mask =
-    Layering.upgrade_mask config.layering ~period:config.upgrade_period slot
-  in
-  let delta_state =
-    match config.mode with
-    | Flid.Plain -> None
-    | Flid.Robust ->
-        let upgrades =
-          Array.init n (fun i -> i >= 1 && Layering.mask_bit mask (i + 1))
-        in
-        let st =
-          Replicated.sender_create ~prng:s.s_prng ~width:config.width ~groups:n
-            ~upgrades
-        in
-        let keys = Replicated.sender_keys st in
-        let guarded = slot + 2 in
-        s.s_keys <- (guarded, keys) :: List.filteri (fun i _ -> i < 3) s.s_keys;
-        let tuples =
-          List.init n (fun i ->
-              let g = i + 1 in
-              Tuple.make ~group:(group_addr config g) ~slot:guarded
-                ~keys:(Replicated.valid_keys keys ~group:g) ~minimal:(g = 1))
-        in
-        ignore
-          (Special.distribute ~scheme:config.fec_scheme s.s_topo
-             ~sender:s.s_node ~session:config.id
-             ~via_group:(group_addr config 1) ~width:config.width ~slot:guarded
-             ~slot_duration:config.slot_duration ~tuples ());
-        Some st
-  in
-  for g = 1 to n do
-    (* Each group carries the full content: group g transmits at the
-       cumulative rate R_g, not a layer residue. *)
-    let rate = Layering.cumulative_rate config.layering ~level:g in
-    s.s_credits.(g - 1) <-
-      s.s_credits.(g - 1)
-      +. (rate *. config.slot_duration /. float_of_int (config.packet_size * 8));
-    let count = max 1 (int_of_float s.s_credits.(g - 1)) in
-    s.s_credits.(g - 1) <- s.s_credits.(g - 1) -. float_of_int count;
-    let spacing = config.slot_duration /. float_of_int count in
-    let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
-    for i = 0 to count - 1 do
-      let last = i = count - 1 in
-      Sim.post sim
-        ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-        (fun () ->
-          (* The fields are drawn at the emission instant. *)
-          match delta_state with
-          | Some st ->
-              let decrease = Replicated.decrease_field st ~group:g in
-              let component = Replicated.next_component st ~group:g ~last in
-              emit s ~group:g ~slot ~seq:i ~last ~mask ~component ~decrease
-          | None ->
-              emit s ~group:g ~slot ~seq:i ~last ~mask ~component:Key.none
-                ~decrease:Key.none)
-    done
-  done
-
-let sender_start ?(at = 0.) topo ~node ~prng (config : config) =
-  let n = config.layering.Layering.groups in
-  for g = 1 to n do
-    Topology.register_group topo ~group:(group_addr config g) ~source:node
-  done;
-  let s =
-    {
-      s_config = config;
-      s_topo = topo;
-      s_node = node;
-      s_prng = prng;
-      s_slot = 0;
-      s_credits = Array.make n 0.;
-      s_keys = [];
-      s_tick = None;
-      s_stopped = false;
-    }
-  in
-  s.s_tick <-
-    Some
-      (Sim.every (Topology.sim topo) ~start:at ~period:config.slot_duration
-         (sender_slot_tick s));
-  s
+let sender_stats = Slot_sender.stats
+let sender_stop = Slot_sender.stop
 
 (* ----------------------------------------------------------------- *)
 (* Receiver                                                          *)

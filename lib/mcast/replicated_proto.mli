@@ -58,6 +58,9 @@ type Mcc_net.Payload.t +=
 (** As {!Flid.Data}: in [Robust] mode the DELTA fields travel in the
     packet's header words. *)
 
+(** {1 Sender} {!Slot_sender} with the replicated XOR scheme; group g
+    carries the whole content at the cumulative rate R_g. *)
+
 type sender
 
 val sender_start :
@@ -68,10 +71,8 @@ val sender_start :
   config ->
   sender
 
+val sender_stats : sender -> Slot_sender.stats
 val sender_stop : sender -> unit
-
-val sender_keys_for_slot :
-  sender -> slot:int -> Mcc_delta.Replicated.keys option
 
 type receiver
 

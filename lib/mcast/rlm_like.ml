@@ -5,12 +5,9 @@ module Payload = Mcc_net.Payload
 module Topology = Mcc_net.Topology
 module Multicast = Mcc_net.Multicast
 module Meter = Mcc_util.Meter
-module Prng = Mcc_util.Prng
 module Shamir = Mcc_util.Shamir
 module Threshold = Mcc_delta.Threshold
 module Mux = Mcc_transport.Mux
-module Tuple = Mcc_sigma.Tuple
-module Special = Mcc_sigma.Special
 module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
 module Tracer = Mcc_obs.Tracer
@@ -106,162 +103,72 @@ let () =
 (* Sender                                                            *)
 (* ----------------------------------------------------------------- *)
 
-type slot_state = {
-  top : Threshold.sender option;  (* Robust mode only *)
-  inc : Threshold.sender option;  (* levels 1..N-1; key l guards level l+1 *)
-  mask : int;
-}
+(* A slot's key material (Robust mode): the level keys, and the
+   increase keys of levels 1..N-1 (key l guards level l+1). *)
+type keys = { top : Threshold.sender; inc : Threshold.sender option }
+type sender = keys Slot_sender.t
 
-type sender = {
-  s_config : config;
-  s_topo : Topology.t;
-  s_node : Node.t;
-  s_prng : Prng.t;
-  mutable s_slot : int;
-  s_credits : float array;
-  mutable s_share_bits : int;
-  mutable s_data_bits : int;
-  mutable s_tick : Sim.handle option;
-  mutable s_stopped : bool;
-}
-
-let sender_stop s =
-  s.s_stopped <- true;
-  match s.s_tick with Some h -> Sim.cancel h | None -> ()
-
-let share_overhead_bits s = s.s_share_bits
-let data_bits s = s.s_data_bits
-
-let thresholds config n =
-  Array.init n (fun i -> threshold config ~level:(i + 1))
-
-let emit s ~group ~slot ~seq ~last ~repair ~state () =
-  if not s.s_stopped then begin
-    let config = s.s_config in
-    let n = config.layering.Layering.groups in
-    let packet_index = seq + 1 in
-    let top_shares =
-      match state.top with
-      | Some top -> Threshold.shares_for_packet top ~group ~packet_index
-      | None -> []
-    in
-    let inc_shares =
-      match state.inc with
-      | Some inc when group <= n - 1 ->
-          (* Shares of increase keys, only for authorized targets. *)
-          List.filter_map
-            (fun (l, share) ->
-              if Layering.mask_bit state.mask (l + 1) then Some (l + 1, share)
-              else None)
-            (Threshold.shares_for_packet inc ~group ~packet_index)
-      | Some _ | None -> []
-    in
-    let share_bytes = 4 * (List.length top_shares + List.length inc_shares) in
-    s.s_share_bits <- s.s_share_bits + (8 * share_bytes);
-    s.s_data_bits <- s.s_data_bits + (8 * config.packet_size);
-    Node.originate s.s_node
-      (Packet.make ~src:s.s_node.Node.id
-         ~dst:(Packet.Multicast (group_addr config group))
-         ~size:(config.packet_size + share_bytes)
-         (Rlm_data
-            {
-              session = config.id;
-              group;
-              slot;
-              seq;
-              last;
-              repair;
-              upgrade_mask = state.mask;
-              top_shares;
-              inc_shares;
-            }))
-  end
-
-let sender_slot_tick s () =
-  let config = s.s_config in
-  let sim = Topology.sim s.s_topo in
-  let tick_now = Sim.now sim in
+(* The Shamir threshold scheme.  The slot's packet counts are decided
+   before its keys are drawn, which is what lets the polynomials be
+   sized exactly; keys and shares are GF(2^31 - 1) elements. *)
+let scheme config =
   let n = config.layering.Layering.groups in
-  let slot = s.s_slot in
-  s.s_slot <- slot + 1;
-  let mask =
-    Layering.upgrade_mask config.layering ~period:config.upgrade_period slot
+  let draw prng ~mask:_ ~counts =
+    let thresholds = Array.init n (fun i -> threshold config ~level:(i + 1)) in
+    let create levels =
+      Threshold.sender_create ~prng ~levels
+        ~per_group_counts:(Array.sub counts 0 levels)
+        ~loss_thresholds:(Array.sub thresholds 0 levels)
+    in
+    let top = create n in
+    { top; inc = (if n >= 2 then Some (create (n - 1)) else None) }
   in
-  (* Packet counts for the slot are decided up front, which is what lets
-     Shamir polynomials be sized exactly. *)
-  let originals =
-    Array.init n (fun i ->
-        let g = i + 1 in
-        let rate = Layering.layer_rate config.layering ~group:g in
-        s.s_credits.(i) <-
-          s.s_credits.(i)
-          +. (rate *. config.slot_duration /. float_of_int (config.packet_size * 8));
-        let count = max 1 (int_of_float s.s_credits.(i)) in
-        s.s_credits.(i) <- s.s_credits.(i) -. float_of_int count;
-        count)
+  let keys { top; inc } ~mask ~group:g =
+    let top_key = Threshold.level_key top ~level:g in
+    match inc with
+    | Some inc when g >= 2 && Layering.mask_bit mask g ->
+        [ Threshold.level_key inc ~level:(g - 1); top_key ]
+    | Some _ | None -> [ top_key ]
   in
-  (* Reliability extension: repair packets join the slot and carry key
-     shares exactly like originals (paper Section 3.1.2). *)
-  let counts =
-    Array.map
-      (fun c ->
-        c + int_of_float (ceil (config.repair_fraction *. float_of_int c)))
-      originals
+  let payload keys (d : Slot_sender.draft) =
+    let shares t =
+      Threshold.shares_for_packet t ~group:d.group ~packet_index:(d.seq + 1)
+    in
+    let top_shares, inc_shares =
+      match keys with
+      | None -> ([], [])
+      | Some { top; inc } ->
+          ( shares top,
+            match inc with
+            | Some inc when d.group < n ->
+                (* Shares of increase keys, only for authorized targets. *)
+                List.filter_map
+                  (fun (l, share) ->
+                    if Layering.mask_bit d.mask (l + 1) then Some (l + 1, share)
+                    else None)
+                  (shares inc)
+            | Some _ | None -> [] )
+    in
+    d.delta_bytes <- 4 * (List.length top_shares + List.length inc_shares);
+    Rlm_data
+      { session = config.id; group = d.group; slot = d.slot; seq = d.seq;
+        last = d.last; repair = d.repair; upgrade_mask = d.mask; top_shares;
+        inc_shares }
   in
-  let state =
-    match config.mode with
-    | Flid.Plain -> { top = None; inc = None; mask }
-    | Flid.Robust ->
-        let top =
-          Threshold.sender_create ~prng:s.s_prng ~levels:n
-            ~per_group_counts:counts ~loss_thresholds:(thresholds config n)
-        in
-        let inc =
-          if n >= 2 then
-            Some
-              (Threshold.sender_create ~prng:s.s_prng ~levels:(n - 1)
-                 ~per_group_counts:(Array.sub counts 0 (n - 1))
-                 ~loss_thresholds:(Array.sub (thresholds config n) 0 (n - 1)))
-          else None
-        in
-        let guarded = slot + 2 in
-        let tuples =
-          List.init n (fun i ->
-              let g = i + 1 in
-              let keys = [ Threshold.level_key top ~level:g ] in
-              let keys =
-                match inc with
-                | Some inc_sender when g >= 2 && Layering.mask_bit mask g ->
-                    Threshold.level_key inc_sender ~level:(g - 1) :: keys
-                | Some _ | None -> keys
-              in
-              Tuple.make ~group:(group_addr config g) ~slot:guarded ~keys
-                ~minimal:(g = 1))
-        in
-        ignore
-          (Special.distribute s.s_topo ~sender:s.s_node ~session:config.id
-             ~via_group:(group_addr config 1) ~width:31 ~slot:guarded
-             ~slot_duration:config.slot_duration ~tuples ());
-        { top = Some top; inc; mask }
-  in
-  for g = 1 to n do
-    let count = counts.(g - 1) in
-    let spacing = config.slot_duration /. float_of_int count in
-    let phase = float_of_int g /. float_of_int (n + 1) *. spacing in
-    for i = 0 to count - 1 do
-      let last = i = count - 1 in
-      let repair = i >= originals.(g - 1) in
-      Sim.post sim
-           ~at:(tick_now +. phase +. (float_of_int i *. spacing))
-           (emit s ~group:g ~slot ~seq:i ~last ~repair ~state)
-    done
-  done
+  let draw = match config.mode with Flid.Plain -> None | Flid.Robust -> Some draw in
+  { Slot_sender.width = 31; fec = Mcc_sigma.Fec.Repetition 2; draw; keys; payload }
 
-let sender_start ?(at = 0.) topo ~node ~prng config =
-  let n = config.layering.Layering.groups in
-  for g = 1 to n do
-    Topology.register_group topo ~group:(group_addr config g) ~source:node
-  done;
+let sender_start ?at topo ~node ~prng config =
+  let s =
+    Slot_sender.start ?at topo ~node ~prng
+      ~rate:(fun g -> Layering.layer_rate config.layering ~group:g)
+      ~repair_fraction:config.repair_fraction
+      { Slot_sender.id = config.id; base_group = config.base_group;
+        layering = config.layering; slot_duration = config.slot_duration;
+        packet_size = config.packet_size;
+        upgrade_period = config.upgrade_period }
+      (scheme config)
+  in
   (* Echo RTT probes: the Equation policy measures its multicast round
      trip against the sender. *)
   Mux.add_handler (Mux.of_node node) (fun pkt ->
@@ -272,25 +179,10 @@ let sender_start ?(at = 0.) topo ~node ~prng config =
                ~size:40 (Rtt_echo { session; receiver; sent_at }));
           true
       | _ -> false);
-  let s =
-    {
-      s_config = config;
-      s_topo = topo;
-      s_node = node;
-      s_prng = prng;
-      s_slot = 0;
-      s_credits = Array.make n 0.;
-      s_share_bits = 0;
-      s_data_bits = 0;
-      s_tick = None;
-      s_stopped = false;
-    }
-  in
-  s.s_tick <-
-    Some
-      (Sim.every (Topology.sim topo) ~start:at ~period:config.slot_duration
-         (sender_slot_tick s));
   s
+
+let sender_stats = Slot_sender.stats
+let sender_stop = Slot_sender.stop
 
 (* ----------------------------------------------------------------- *)
 (* Receiver                                                          *)
@@ -319,13 +211,16 @@ type receiver = {
   r_client : Client.t option;
   r_loss_est : Tfrc.Loss_estimator.t;
   mutable r_srtt : float option;
+  mutable r_probe : Sim.handle option;  (* the Equation policy's RTT probe *)
 }
 
 let receiver_meter r = r.r_meter
 let receiver_level r = r.r_level
 let receiver_rtt r = r.r_srtt
 let receiver_loss_rate r = Tfrc.Loss_estimator.value r.r_loss_est
-let receiver_stop r = Slot_clock.stop r.r_clock
+let receiver_stop r =
+  Slot_clock.stop r.r_clock;
+  Option.iter Sim.cancel r.r_probe
 
 let receiver_leave r =
   if not (Slot_clock.stopped r.r_clock) then begin
@@ -553,6 +448,7 @@ let receiver_start ?(at = 0.) ?behavior:_ topo ~host ~prng:_ config =
         | Flid.Plain -> None);
       r_loss_est = Tfrc.Loss_estimator.create ();
       r_srtt = None;
+      r_probe = None;
     }
   in
   Slot_clock.bind r.r_clock ~span:(effective_level r) ~eval:(eval_slot r);
@@ -572,10 +468,10 @@ let receiver_start ?(at = 0.) ?behavior:_ topo ~host ~prng:_ config =
                 | Some srtt -> Some ((0.875 *. srtt) +. (0.125 *. sample))));
               true
           | _ -> false);
-      ignore
-        (Sim.every (Topology.sim topo) ~start:(at +. 0.1) ~period:1.0
-           (fun () ->
-             if not (Slot_clock.stopped r.r_clock) then
+      r.r_probe <-
+        Some
+          (Sim.every (Topology.sim topo) ~start:(at +. 0.1) ~period:1.0
+             (fun () ->
                match Topology.group_source topo (group_addr config 1) with
                | Some source ->
                    Node.originate host

@@ -103,6 +103,10 @@ type Mcc_net.Payload.t +=
           (** (target level, share) of authorized increase keys *)
     }
 
+(** {1 Sender} {!Slot_sender} with the Shamir threshold scheme: level
+    and increase keys sized by the slot's packet counts, repairs
+    included; share lists in the payload. *)
+
 type sender
 
 val sender_start :
@@ -113,13 +117,11 @@ val sender_start :
   config ->
   sender
 
+val sender_stats : sender -> Slot_sender.stats
+(** [delta_bits] counts the share bits emitted so far — the threshold
+    scheme's communication cost. *)
+
 val sender_stop : sender -> unit
-
-val share_overhead_bits : sender -> int
-(** Total share bits emitted so far — the threshold scheme's
-    communication cost. *)
-
-val data_bits : sender -> int
 
 type receiver
 
@@ -144,7 +146,8 @@ val receiver_loss_rate : receiver -> float
 (** Smoothed loss-event rate the equation is fed with. *)
 
 val receiver_stop : receiver -> unit
-(** Freezes the receiver; group membership decays via key expiry. *)
+(** Freezes the receiver and cancels its RTT probe; group membership
+    decays via key expiry. *)
 
 val receiver_leave : receiver -> unit
 (** Orderly departure: leave every subscribed group at once (an

@@ -1,5 +1,6 @@
 module Scenario = Mcc_core.Scenario
 module Flid = Mcc_mcast.Flid
+module Slot_sender = Mcc_mcast.Slot_sender
 module Layering = Mcc_mcast.Layering
 module Meter = Mcc_util.Meter
 module Series = Mcc_util.Series
@@ -58,16 +59,16 @@ let test_robust_converges_to_fair_level () =
 let test_sender_stats_accumulate () =
   let _, s, _ = single_session ~mode:Flid.Robust ~seconds:10. () in
   let stats = Flid.sender_stats s.Scenario.sender in
-  Alcotest.(check bool) "slots ticked" true (stats.Flid.slots >= 38);
-  Alcotest.(check bool) "data flowed" true (stats.Flid.data_bits > 0);
-  Alcotest.(check bool) "delta fields counted" true (stats.Flid.delta_bits > 0);
-  Alcotest.(check bool) "specials sent" true (stats.Flid.sigma_packets > 0);
-  Alcotest.(check (float 0.)) "repetition-2 expansion" 2. stats.Flid.fec_expansion
+  Alcotest.(check bool) "slots ticked" true (stats.Slot_sender.slots >= 38);
+  Alcotest.(check bool) "data flowed" true (stats.Slot_sender.data_bits > 0);
+  Alcotest.(check bool) "delta fields counted" true (stats.Slot_sender.delta_bits > 0);
+  Alcotest.(check bool) "specials sent" true (stats.Slot_sender.sigma_packets > 0);
+  Alcotest.(check (float 0.)) "repetition-2 expansion" 2. stats.Slot_sender.fec_expansion
 
 let test_sender_keys_exposed () =
   let _, s, _ = single_session ~mode:Flid.Robust ~seconds:5. () in
   let stats = Flid.sender_stats s.Scenario.sender in
-  let slot = stats.Flid.slots + 1 in
+  let slot = stats.Slot_sender.slots + 1 in
   (* The most recently guarded slots are current+1 and current+2. *)
   Alcotest.(check bool) "keys retained" true
     (Flid.sender_keys_for_slot s.Scenario.sender ~slot <> None)

@@ -7,6 +7,7 @@ module Dumbbell = Mcc_core.Dumbbell
 module Defaults = Mcc_core.Defaults
 module Router_agent = Mcc_sigma.Router_agent
 module Flid = Mcc_mcast.Flid
+module Slot_sender = Mcc_mcast.Slot_sender
 module Rep = Mcc_mcast.Replicated_proto
 module Rlm = Mcc_mcast.Rlm_like
 module Layering = Mcc_mcast.Layering
@@ -15,6 +16,11 @@ module Prng = Mcc_util.Prng
 module Scenario = Mcc_core.Scenario
 module Spec = Mcc_core.Spec
 module Oversub = Mcc_mcast.Oversub
+module Packet = Mcc_net.Packet
+module Node = Mcc_net.Node
+module Link = Mcc_net.Link
+module Multicast = Mcc_net.Multicast
+module Lineage = Mcc_obs.Lineage
 
 let build ~bottleneck ~mode =
   let sim = Sim.create () in
@@ -216,8 +222,9 @@ let test_rlm_share_overhead_exceeds_xor () =
   let s, _ =
     run_rlm ~mode:Flid.Robust ~seconds:20. ~bottleneck:Defaults.fair_share_bps
   in
+  let stats = Rlm.sender_stats s in
   let ratio =
-    float_of_int (Rlm.share_overhead_bits s) /. float_of_int (Rlm.data_bits s)
+    float_of_int stats.Slot_sender.delta_bits /. float_of_int stats.Slot_sender.data_bits
   in
   Alcotest.(check bool)
     (Printf.sprintf "share overhead %.2f%%" (100. *. ratio))
@@ -289,6 +296,124 @@ let test_oversub_inflater () =
   in
   Alcotest.(check bool) "its guessed keys were refused" true (rejected > 0)
 
+(* --- registry-wide sender --------------------------------------------------- *)
+
+(* (group, slot, seq, last) of a session data packet, whatever the
+   protocol. *)
+let data_coords pkt =
+  match pkt.Packet.payload with
+  | Flid.Data { group; slot; seq; last; _ }
+  | Rep.Rep_data { group; slot; seq; last; _ }
+  | Rlm.Rlm_data { group; slot; seq; last; _ } ->
+      Some (group, slot, seq, last)
+  | _ -> None
+
+(* Every protocol sends through the one slot sender.  A sink host on the
+   sender's router joins every group before the sender starts, so the
+   sender's access link carries every data packet the sender emits; the
+   sender stops on a slot boundary, so every slot it began is complete. *)
+let check_sender (type c s r)
+    (module P : Mcc_mcast.Protocol.S
+      with type config = c
+       and type sender = s
+       and type receiver = r) ~(stats : s -> Slot_sender.stats)
+    ~(stop : s -> unit) ~(tune : c -> c) ~label mode =
+  let label = label ^ if mode = Flid.Robust then " robust" else " plain" in
+  Lineage.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Lineage.disable ();
+      Lineage.reset ())
+  @@ fun () ->
+  let sim, db, _agent = build ~bottleneck:Defaults.fair_share_bps ~mode in
+  let id = 7 and start = 1. and slot = P.default_slot mode in
+  let config =
+    tune
+      (P.configure ~id ~base_group:0x4000 ~layering:(Defaults.layering ())
+         ~slot_duration:slot ~mode)
+  in
+  (* Replicated groups all run at cumulative rates: a wide access link
+     keeps the check about the sender, not about queueing. *)
+  let src = Dumbbell.add_sender ~rate_bps:1e9 db in
+  let sink = Dumbbell.add_sender ~rate_bps:1e9 db in
+  let sender =
+    P.sender_start ~at:start db.Dumbbell.topo ~node:src ~prng:(Prng.create 31)
+      config
+  in
+  Dumbbell.finalize db;
+  for g = 1 to Defaults.groups do
+    Multicast.host_join db.Dumbbell.topo ~host:sink ~group:(P.group_addr config g)
+  done;
+  let access = Option.get (Node.link_to src db.Dumbbell.left.Node.id) in
+  let packets = ref 0 and bytes = ref 0 and drops = ref 0 in
+  let seqs = Hashtbl.create 64 in
+  access.Link.on_event <-
+    Some
+      (fun event pkt ->
+        match (event, data_coords pkt) with
+        | Link.Tx_start, Some (group, k, seq, last) ->
+            incr packets;
+            bytes := !bytes + pkt.Packet.size;
+            let session, level, born = Lineage.origin pkt.Packet.lineage in
+            if session <> id || level <> group then
+              Alcotest.failf "%s: g%d slot %d: origin s%d level %d" label group
+                k session level;
+            let tick j = start +. (float_of_int j *. slot) in
+            if born < tick k || born >= tick (k + 1) then
+              Alcotest.failf "%s: g%d slot %d #%d sent at %.6f, outside its slot"
+                label group k seq born;
+            let prev =
+              Option.value (Hashtbl.find_opt seqs (group, k)) ~default:[]
+            in
+            Hashtbl.replace seqs (group, k) ((seq, last) :: prev)
+        | Link.Dropped, Some _ -> incr drops
+        | _ -> ());
+  Sim.run_until sim 11.;
+  stop sender;
+  Sim.run_until sim 12.;
+  Alcotest.(check int) (label ^ ": no access drops") 0 !drops;
+  Alcotest.(check bool) (label ^ ": data flowed") true (!packets > 0);
+  Hashtbl.iter
+    (fun (group, k) rev ->
+      let got = List.rev rev in
+      let count = List.length got in
+      let want = List.init count (fun i -> (i, i = count - 1)) in
+      if got <> want then
+        Alcotest.failf "%s: g%d slot %d: seqs/last flags out of order" label
+          group k)
+    seqs;
+  let st = stats sender in
+  Alcotest.(check int) (label ^ ": data bits") (!packets * 576 * 8)
+    st.Slot_sender.data_bits;
+  Alcotest.(check int) (label ^ ": delta bits")
+    ((!bytes - (!packets * 576)) * 8)
+    st.Slot_sender.delta_bits;
+  Alcotest.(check bool)
+    (label ^ ": delta overhead iff robust")
+    (mode = Flid.Robust) (st.Slot_sender.delta_bits > 0)
+
+let sender_check = function
+  | Spec.Flid_ds -> check_sender (module Flid) ~stats:Flid.sender_stats
+      ~stop:Flid.sender_stop ~tune:Fun.id
+  | Spec.Rlm_threshold -> check_sender (module Rlm) ~stats:Rlm.sender_stats
+      ~stop:Rlm.sender_stop ~tune:Fun.id
+  | Spec.Replicated -> check_sender (module Rep) ~stats:Rep.sender_stats
+      ~stop:Rep.sender_stop ~tune:Fun.id
+  | Spec.Oversub -> check_sender (module Oversub) ~stats:Oversub.sender_stats
+      ~stop:Oversub.sender_stop ~tune:Fun.id
+
+let test_slot_sender () =
+  List.iter
+    (fun (reg : Spec.registration) ->
+      List.iter
+        (sender_check reg.Spec.tag ~label:reg.Spec.short)
+        [ Flid.Plain; Flid.Robust ])
+    Spec.protocols;
+  (* The reliability extension: repair packets join each slot. *)
+  check_sender (module Rlm) ~stats:Rlm.sender_stats ~stop:Rlm.sender_stop
+    ~tune:(fun c -> { c with Rlm.repair_fraction = 0.5 })
+    ~label:"rlm repair 0.5" Flid.Robust
+
 let suite =
   ( "protocols",
     [
@@ -305,6 +430,8 @@ let suite =
         test_leave_prunes_plain;
       Alcotest.test_case "oversub honours a misbehaving receiver" `Slow
         test_oversub_inflater;
+      Alcotest.test_case "slot sender: timing, sequence, overhead, lineage"
+        `Slow test_slot_sender;
       Alcotest.test_case "rlm thresholds" `Quick test_rlm_thresholds_decay;
       Alcotest.test_case "rlm plain converges" `Slow test_rlm_plain_converges;
       Alcotest.test_case "rlm robust converges" `Slow test_rlm_robust_converges;

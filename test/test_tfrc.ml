@@ -85,6 +85,37 @@ let test_equation_receiver_end_to_end () =
   Alcotest.(check bool) "loss estimate populated" true
     (Rlm.receiver_loss_rate receiver >= 0.)
 
+(* The Equation policy's RTT probe is the receiver's own timer: leaving
+   cancels it, so once the packets in flight have drained the simulator
+   has nothing left to run. *)
+let test_probe_stops_on_leave () =
+  let sim = Sim.create () in
+  let db =
+    Dumbbell.create sim ~bottleneck_rate_bps:Defaults.fair_share_bps ()
+  in
+  let config =
+    Rlm.make_config ~id:6 ~base_group:0x3E00 ~policy:Rlm.Equation
+      ~layering:(Defaults.layering ()) ~slot_duration:0.25 ~mode:Flid.Plain ()
+  in
+  let src = Dumbbell.add_sender db in
+  let sender =
+    Rlm.sender_start db.Dumbbell.topo ~node:src ~prng:(Prng.create 93) config
+  in
+  let host = Dumbbell.add_receiver db in
+  let receiver =
+    Rlm.receiver_start db.Dumbbell.topo ~host ~prng:(Prng.create 94) config
+  in
+  Dumbbell.finalize db;
+  Sim.run_until sim 10.;
+  Alcotest.(check bool) "rtt probed" true (Rlm.receiver_rtt receiver <> None);
+  Rlm.receiver_leave receiver;
+  Rlm.sender_stop sender;
+  Sim.run_until sim 15.;
+  let settled = Sim.events_executed sim in
+  Sim.run_until sim 115.;
+  Alcotest.(check int) "no events after the leave" settled
+    (Sim.events_executed sim)
+
 let suite =
   ( "tfrc",
     [
@@ -94,4 +125,6 @@ let suite =
       Alcotest.test_case "loss estimator" `Quick test_loss_estimator;
       Alcotest.test_case "equation receiver end-to-end" `Slow
         test_equation_receiver_end_to_end;
+      Alcotest.test_case "rtt probe stops on leave" `Quick
+        test_probe_stops_on_leave;
     ] )
