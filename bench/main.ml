@@ -32,6 +32,7 @@ module Report = Mcc_core.Report
 module Runner = Mcc_core.Runner
 module Spec = Mcc_core.Spec
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Slot_sender = Mcc_mcast.Slot_sender
 module Metrics = Mcc_obs.Metrics
 module Profile = Mcc_obs.Profile
@@ -501,7 +502,7 @@ let collusion () =
           ()
       in
       (match session.Mcc_core.Scenario.receivers with
-      | [ a; b ] -> Flid.set_colluder b ~source:a
+      | [ a; b ] -> Slot_receiver.set_colluder b ~source:a
       | _ -> ());
       Mcc_core.Scenario.run t ~seconds:(duration 60.);
       let agent = Option.get (Mcc_core.Scenario.agent t) in

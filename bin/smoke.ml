@@ -4,6 +4,7 @@
 
 module Scenario = Mcc_core.Scenario
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Meter = Mcc_util.Meter
 module Tcp = Mcc_transport.Tcp
 
@@ -11,7 +12,8 @@ let run_case ~mode ~label =
   let t = Scenario.create ~seed:7 ~bottleneck_rate_bps:1_000_000. () in
   let f1 =
     Scenario.add_multicast t ~mode
-      ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after 100.) () ]
+      ~receivers:
+        [ Scenario.receiver ~behavior:(Slot_receiver.Inflate_after 100.) () ]
       ()
   in
   let f2 =

@@ -17,6 +17,12 @@ export QCHECK_SEED
 dune build
 dune runtest
 
+# Byte-identity gate: the simulated outcomes of the paper figures, the
+# attack matrix, the fat-tree flash crowd and the profiled cells must
+# match every digest stored in perfbench/digests.txt (exit 1 on any
+# mismatch), so a refactor that moves a single figure fails here.
+dune exec perfbench/main.exe -- --self-test
+
 # Invariant lint gate: the static-analysis pass (lib/lint) must find no
 # determinism or domain-safety violations — wall-clock reads, ambient
 # randomness, shared top-level mutable state, polymorphic float

@@ -10,6 +10,7 @@ module Scenario = Mcc_core.Scenario
 module Defaults = Mcc_core.Defaults
 module Forensics = Mcc_core.Forensics
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Tcp = Mcc_transport.Tcp
 module Meter = Mcc_util.Meter
 module Prng = Mcc_util.Prng
@@ -37,7 +38,7 @@ let inflater ~mode =
     strat.Strategy.instantiate ~attack_at ~slot_duration
       ~prng:(Prng.create 7919)
   in
-  Flid.Adversarial (Strategy.member inst)
+  Slot_receiver.Adversarial (Strategy.member inst)
 
 let run ~mode =
   (* Enable sampling before the scenario builds its Sim: the event loop

@@ -61,7 +61,7 @@ let () =
   List.iter
     (fun (time, tier) -> Printf.printf "    %5.1f s -> tier %.0f\n" time tier)
     (Series.to_list (Rep.group_series listener));
-  Printf.printf "\n  final tier:        %d\n" (Rep.receiver_group listener);
+  Printf.printf "\n  final tier:        %d\n" (Rep.receiver_level listener);
   Printf.printf "  mean rate 10-30 s: %.0f kbps (before burst)\n"
     (Meter.mean_kbps (Rep.receiver_meter listener) ~lo:10. ~hi:30.);
   Printf.printf "  mean rate 35-50 s: %.0f kbps (during burst)\n"

@@ -6,6 +6,7 @@ module Scenario = Mcc_core.Scenario
 module Defaults = Mcc_core.Defaults
 module Dumbbell = Mcc_core.Dumbbell
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Router_agent = Mcc_sigma.Router_agent
 module Tcp = Mcc_transport.Tcp
 module Meter = Mcc_util.Meter
@@ -63,20 +64,8 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
         : Spec.adversary_params) =
     p
   in
-  let sigma_enforced =
-    match defence with
-    | Spec.Delta_sigma | Spec.Delta_sigma_ecn -> true
-    | Spec.Undefended | Spec.Delta_only -> false
-  in
-  let mode =
-    match defence with Spec.Undefended -> Flid.Plain | _ -> Flid.Robust
-  in
-  let receiver_mode =
-    match defence with Spec.Delta_only -> Some Flid.Plain | _ -> None
-  in
-  let ecn = defence = Spec.Delta_sigma_ecn in
-  let agent_config =
-    { Router_agent.default_config with Router_agent.interface_keys = true }
+  let { Spec.sigma_enforced; mode; receiver_mode; ecn; agent_config } =
+    Spec.defence_setup defence
   in
   let t =
     Scenario.create ~seed ~ecn ~sigma:sigma_enforced ~agent_config
@@ -121,7 +110,8 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
         | Spec.Key_guessing _ | Spec.Stale_replay _ ) ) ->
         let member = Strategy.member (instantiate ()) in
         let a =
-          session [ Scenario.receiver ~behavior:(Flid.Adversarial member) () ]
+          session
+            [ Scenario.receiver ~behavior:(Slot_receiver.Adversarial member) () ]
         in
         [ P.receiver_meter (List.hd a.Scenario.receivers) ]
     | Spec.Flid_ds, Spec.Collusion { colluders } ->
@@ -140,7 +130,7 @@ let run_cell (p : Spec.adversary_params) : Experiments.adversary_result =
         in
         List.init colluders (fun _ ->
             launch_bare
-              ~feed:(fun () -> Flid.receiver_history accomplice)
+              ~feed:(fun () -> Slot_receiver.history accomplice)
               ~groups ())
     | Spec.Flid_ds, Spec.Grace_churn _
     | (Spec.Rlm_threshold | Spec.Replicated | Spec.Oversub), _ ->

@@ -1,5 +1,5 @@
 module Spec = Mcc_core.Spec
-module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Key = Mcc_delta.Key
 module Prng = Mcc_util.Prng
 module Meter = Mcc_util.Meter
@@ -18,7 +18,7 @@ module Prof = Mcc_obs.Prof
 type instance = {
   label : string;
   active : time:float -> bool;
-  on_slot : Flid.adv_ctx -> Flid.submission list;
+  on_slot : Slot_receiver.adv_ctx -> Slot_receiver.submission list;
   on_packet : time:float -> group:int -> bytes:int -> unit;
   on_key_result : slot:int -> group:int -> accepted:bool -> unit;
 }
@@ -42,20 +42,20 @@ let no_key_result ~slot:_ ~group:_ ~accepted:_ = ()
 
 (* The inflation submission every claim-everything strategy shares:
    honest entitlement plus one guessed key per uncovered group
-   (Flid.inflation_guesses is the paper's Figure 1 misbehaviour). *)
+   (Slot_receiver.inflation_guesses is the paper's Figure 1 misbehaviour). *)
 let inflation_submissions ctx =
-  let guesses = Flid.inflation_guesses ctx in
+  let guesses = Slot_receiver.inflation_guesses ctx in
   Metrics.tick "attack.submissions";
   Metrics.tick "attack.guesses" ~by:(List.length guesses);
-  trace ~time:ctx.Flid.actx_time "inflate" (fun () ->
+  trace ~time:ctx.Slot_receiver.actx_time "inflate" (fun () ->
       [
-        ("slot", Json.Int ctx.Flid.actx_slot);
+        ("slot", Json.Int ctx.Slot_receiver.actx_slot);
         ("guesses", Json.Int (List.length guesses));
       ]);
   [
     {
-      Flid.sub_slot = ctx.Flid.actx_slot;
-      sub_pairs = ctx.Flid.actx_entitled @ guesses;
+      Slot_receiver.sub_slot = ctx.Slot_receiver.actx_slot;
+      sub_pairs = ctx.Slot_receiver.actx_entitled @ guesses;
     };
   ]
 
@@ -132,11 +132,11 @@ let guess ~budget_per_slot =
           active = (fun ~time -> time >= attack_at);
           on_slot =
             (fun ctx ->
-              let covered = List.map fst ctx.Flid.actx_entitled in
+              let covered = List.map fst ctx.Slot_receiver.actx_entitled in
               let uncovered =
                 List.filter
                   (fun g -> not (List.mem g covered))
-                  ctx.Flid.actx_groups
+                  ctx.Slot_receiver.actx_groups
               in
               let n = List.length uncovered in
               let picks =
@@ -148,21 +148,23 @@ let guess ~budget_per_slot =
               in
               cursor := !cursor + List.length picks;
               let guesses =
-                List.map (fun g -> (g, ctx.Flid.actx_fresh_key ())) picks
+                List.map
+                  (fun g -> (g, ctx.Slot_receiver.actx_fresh_key ()))
+                  picks
               in
               Metrics.tick "attack.submissions";
               Metrics.tick "attack.guesses" ~by:(List.length guesses);
-              trace ~time:ctx.Flid.actx_time "guess" (fun () ->
+              trace ~time:ctx.Slot_receiver.actx_time "guess" (fun () ->
                   [
-                    ("slot", Json.Int ctx.Flid.actx_slot);
+                    ("slot", Json.Int ctx.Slot_receiver.actx_slot);
                     ("budget", Json.Int budget_per_slot);
                     ("guesses", Json.Int (List.length guesses));
                     ("hits", Json.Int !hits);
                   ]);
               [
                 {
-                  Flid.sub_slot = ctx.Flid.actx_slot;
-                  sub_pairs = ctx.Flid.actx_entitled @ guesses;
+                  Slot_receiver.sub_slot = ctx.Slot_receiver.actx_slot;
+                  sub_pairs = ctx.Slot_receiver.actx_entitled @ guesses;
                 };
               ]);
           on_packet = no_packet;
@@ -194,33 +196,35 @@ let replay ~lag_slots =
             (fun ctx ->
               let honest =
                 {
-                  Flid.sub_slot = ctx.Flid.actx_slot;
-                  sub_pairs = ctx.Flid.actx_entitled;
+                  Slot_receiver.sub_slot = ctx.Slot_receiver.actx_slot;
+                  sub_pairs = ctx.Slot_receiver.actx_entitled;
                 }
               in
               let stale =
                 List.find_opt
-                  (fun (s : Flid.submission) ->
-                    s.Flid.sub_pairs <> []
-                    && s.Flid.sub_slot <= ctx.Flid.actx_slot - lag_slots)
-                  ctx.Flid.actx_history
+                  (fun (s : Slot_receiver.submission) ->
+                    s.Slot_receiver.sub_pairs <> []
+                    && s.Slot_receiver.sub_slot
+                       <= ctx.Slot_receiver.actx_slot - lag_slots)
+                  ctx.Slot_receiver.actx_history
               in
               Metrics.tick "attack.submissions";
               match stale with
               | None -> [ honest ]
               | Some s ->
                   Metrics.tick "attack.replays";
-                  trace ~time:ctx.Flid.actx_time "replay" (fun () ->
+                  trace ~time:ctx.Slot_receiver.actx_time "replay" (fun () ->
                       [
-                        ("slot", Json.Int ctx.Flid.actx_slot);
-                        ("stale_slot", Json.Int s.Flid.sub_slot);
-                        ("pairs", Json.Int (List.length s.Flid.sub_pairs));
+                        ("slot", Json.Int ctx.Slot_receiver.actx_slot);
+                        ("stale_slot", Json.Int s.Slot_receiver.sub_slot);
+                        ( "pairs",
+                          Json.Int (List.length s.Slot_receiver.sub_pairs) );
                       ]);
                   [
                     honest;
                     {
-                      Flid.sub_slot = ctx.Flid.actx_slot;
-                      sub_pairs = s.Flid.sub_pairs;
+                      Slot_receiver.sub_slot = ctx.Slot_receiver.actx_slot;
+                      sub_pairs = s.Slot_receiver.sub_pairs;
                     };
                   ]);
           on_packet = no_packet;
@@ -286,15 +290,18 @@ let collude ~colluders =
              their slot, just lifted from another interface. *)
           on_slot =
             (fun ctx ->
-              match ctx.Flid.actx_history with
-              | (s : Flid.submission) :: _ when s.Flid.sub_pairs <> [] ->
+              match ctx.Slot_receiver.actx_history with
+              | (s : Slot_receiver.submission) :: _
+                when s.Slot_receiver.sub_pairs <> [] ->
                   Metrics.tick "attack.submissions";
                   Metrics.tick "attack.colluder_shares"
-                    ~by:(List.length s.Flid.sub_pairs);
-                  trace ~time:ctx.Flid.actx_time "collude_replay" (fun () ->
+                    ~by:(List.length s.Slot_receiver.sub_pairs);
+                  trace ~time:ctx.Slot_receiver.actx_time "collude_replay"
+                    (fun () ->
                       [
-                        ("slot", Json.Int s.Flid.sub_slot);
-                        ("pairs", Json.Int (List.length s.Flid.sub_pairs));
+                        ("slot", Json.Int s.Slot_receiver.sub_slot);
+                        ( "pairs",
+                          Json.Int (List.length s.Slot_receiver.sub_pairs) );
                       ]);
                   [ s ]
               | _ -> []);
@@ -323,7 +330,7 @@ let catalogue () =
 
 let member inst =
   {
-    Flid.adv_label = inst.label;
+    Slot_receiver.adv_label = inst.label;
     adv_active = inst.active;
     adv_submit = inst.on_slot;
   }
@@ -380,19 +387,23 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
   let history = ref [] in
   let submit client subs =
     List.iter
-      (fun (s : Flid.submission) ->
-        if s.Flid.sub_pairs <> [] then begin
-          Client.subscribe client ~slot:s.Flid.sub_slot ~pairs:s.Flid.sub_pairs;
+      (fun (s : Slot_receiver.submission) ->
+        if s.Slot_receiver.sub_pairs <> [] then begin
+          Client.subscribe client ~slot:s.Slot_receiver.sub_slot
+            ~pairs:s.Slot_receiver.sub_pairs;
           history := s :: List.filteri (fun i _ -> i < 15) !history;
           (* Observe the verdicts one slot later through the ack state
              the client accumulated (snooped Sub_acks). *)
           Sim.post_after sim ~delay:slot_d (fun () ->
-                 let acked = Client.acked_pairs client ~slot:s.Flid.sub_slot in
+                 let acked =
+                   Client.acked_pairs client ~slot:s.Slot_receiver.sub_slot
+                 in
                  List.iter
                    (fun pair ->
-                     inst.on_key_result ~slot:s.Flid.sub_slot ~group:(fst pair)
+                     inst.on_key_result ~slot:s.Slot_receiver.sub_slot
+                       ~group:(fst pair)
                        ~accepted:(key_matches acked pair))
-                   s.Flid.sub_pairs)
+                   s.Slot_receiver.sub_pairs)
         end)
       subs
   in
@@ -450,7 +461,7 @@ let launch_bare ?(at = 0.) ?feed topo ~host ~prng ~target ~kind inst =
                Client.session_join client ~group:minimal;
                let ctx =
                  {
-                   Flid.actx_time = time;
+                   Slot_receiver.actx_time = time;
                    actx_slot = int_of_float (time /. slot_d) + 1;
                    actx_entitled = [];
                    actx_groups = target.tgt_groups;

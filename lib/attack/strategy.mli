@@ -7,16 +7,15 @@
     simulated-clock callbacks a harness drives.  Two harnesses exist:
 
     - the {e member} adapter ({!member}) turns an instance into a
-      {!Mcc_mcast.Flid.adversary}, i.e. a misbehaving receiver inside a
-      FLID session whose [on_slot] callback replaces the honest key
+      {!Mcc_mcast.Slot_receiver.adversary}, i.e. a misbehaving receiver
+      inside a session whose [on_slot] callback replaces the honest key
       submission; under a [Plain]-mode session the receiver degrades to
       the IGMP join-everything misbehaviour, gated by [active];
     - the {e bare} driver ({!launch_bare}) runs the instance as a
       standalone attacker host with its own SIGMA client (or raw IGMP
-      joins when the edge is legacy), which is how attacks are mounted
-      against protocols whose receivers take no behaviour parameter
-      (RLM-like, replicated) and how grace-window churn acts on the
-      control channel.
+      joins when the edge is legacy), which is how the matrix mounts
+      attacks against the RLM-like, replicated and Oversub sessions and
+      how grace-window churn acts on the control channel.
 
     Instances carry their own mutable state (guess cursors, hit
     counters), so one instance drives exactly one attacker.  All
@@ -24,14 +23,14 @@
     "attack.strategy" component. *)
 
 module Spec := Mcc_core.Spec
-module Flid := Mcc_mcast.Flid
+module Slot_receiver := Mcc_mcast.Slot_receiver
 
 type instance = {
   label : string;
   active : time:float -> bool;
       (** whether the attacker misbehaves at simulated [time];
           re-evaluated every slot (on–off strategies gate here) *)
-  on_slot : Flid.adv_ctx -> Flid.submission list;
+  on_slot : Slot_receiver.adv_ctx -> Slot_receiver.submission list;
       (** per-slot key submissions replacing the honest one.  The member
           adapter wires this into the receiver's subscription path; the
           bare driver calls it on its own slot tick with an empty
@@ -67,8 +66,8 @@ val catalogue : unit -> t list
     {!Mcc_core.Spec.attack_kind} declaration order — the table
     EXPERIMENTS.md documents. *)
 
-val member : instance -> Flid.adversary
-(** Adapt an instance into a misbehaving FLID session member. *)
+val member : instance -> Slot_receiver.adversary
+(** Adapt an instance into a misbehaving session member. *)
 
 (** {1 Bare attacker} *)
 
@@ -86,7 +85,7 @@ type bare
 
 val launch_bare :
   ?at:float ->
-  ?feed:(unit -> Flid.submission list) ->
+  ?feed:(unit -> Slot_receiver.submission list) ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
@@ -106,7 +105,7 @@ val launch_bare :
     [feed] overrides the [actx_history] the slot tick presents to
     [on_slot] — by default the attacker's own past submissions; a
     collusion harness passes the accomplice's
-    {!Mcc_mcast.Flid.receiver_history} here. *)
+    {!Mcc_mcast.Slot_receiver.history} here. *)
 
 val bare_meter : bare -> Mcc_util.Meter.t
 (** Bytes of attacked-session traffic reaching the attacker's host. *)

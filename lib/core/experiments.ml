@@ -1,4 +1,5 @@
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Slot_sender = Mcc_mcast.Slot_sender
 module Layering = Mcc_mcast.Layering
 module Meter = Mcc_util.Meter
@@ -29,7 +30,8 @@ let run_attack (p : Spec.attack_params) =
   let t = Scenario.create ~seed ~bottleneck_rate_bps:1_000_000. () in
   let f1 =
     Scenario.add_multicast t ~mode
-      ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after attack_at) () ]
+      ~receivers:
+        [ Scenario.receiver ~behavior:(Slot_receiver.Inflate_after attack_at) () ]
       ()
   in
   let f2 = Scenario.add_multicast t ~mode ~receivers:[ Scenario.receiver () ] () in
@@ -247,15 +249,15 @@ let run_partial (p : Spec.partial_params) =
   in
   let protected_attacker =
     make_session ~id:1 ~edge:edge_sigma ~receiver_mode:Flid.Robust
-      ~behavior:(Flid.Inflate_after attack_at)
+      ~behavior:(Slot_receiver.Inflate_after attack_at)
   in
   let unprotected_attacker =
     make_session ~id:2 ~edge:edge_legacy ~receiver_mode:Flid.Plain
-      ~behavior:(Flid.Inflate_after attack_at)
+      ~behavior:(Slot_receiver.Inflate_after attack_at)
   in
   let honest =
     make_session ~id:3 ~edge:edge_sigma ~receiver_mode:Flid.Robust
-      ~behavior:Flid.Well_behaved
+      ~behavior:Slot_receiver.Well_behaved
   in
   Topology.compute_routes topo;
   Sim.run_until sim duration;

@@ -4,6 +4,7 @@ module Link = Mcc_net.Link
 module Packet = Mcc_net.Packet
 module Prng = Mcc_util.Prng
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Layering = Mcc_mcast.Layering
 module Router_agent = Mcc_sigma.Router_agent
 module Tcp = Mcc_transport.Tcp
@@ -12,13 +13,13 @@ module Ecn = Mcc_delta.Ecn
 
 type receiver_spec = {
   start_at : float;
-  behavior : Flid.behavior;
+  behavior : Slot_receiver.behavior;
   access_delay_s : float option;
   access_rate_bps : float option;
 }
 
-let receiver ?(at = 0.) ?(behavior = Flid.Well_behaved) ?access_delay_s
-    ?access_rate_bps () =
+let receiver ?(at = 0.) ?(behavior = Slot_receiver.Well_behaved)
+    ?access_delay_s ?access_rate_bps () =
   { start_at = at; behavior; access_delay_s; access_rate_bps }
 
 type ('c, 's, 'r) session = { config : 'c; sender : 's; receivers : 'r list }

@@ -7,13 +7,13 @@
 
 type receiver_spec = {
   start_at : float;
-  behavior : Mcc_mcast.Flid.behavior;
+  behavior : Mcc_mcast.Slot_receiver.behavior;
   access_delay_s : float option;  (** overrides the default 10 ms *)
   access_rate_bps : float option;
       (** overrides the default 10 Mbps: a capacity-limited receiver *)
 }
 
-val receiver : ?at:float -> ?behavior:Mcc_mcast.Flid.behavior ->
+val receiver : ?at:float -> ?behavior:Mcc_mcast.Slot_receiver.behavior ->
   ?access_delay_s:float -> ?access_rate_bps:float -> unit -> receiver_spec
 
 type ('c, 's, 'r) session = { config : 'c; sender : 's; receivers : 'r list }

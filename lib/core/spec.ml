@@ -195,6 +195,31 @@ let protocol_str p = (registration p).short
 let protocol_heading p = (registration p).heading
 let protocol_impl p = (registration p).impl
 
+type defence_setup = {
+  sigma_enforced : bool;
+  mode : mode;
+  receiver_mode : mode option;
+  ecn : bool;
+  agent_config : Mcc_sigma.Router_agent.config;
+}
+
+let defence_setup defence =
+  {
+    sigma_enforced =
+      (match defence with
+      | Delta_sigma | Delta_sigma_ecn -> true
+      | Undefended | Delta_only -> false);
+    mode = (match defence with Undefended -> Flid.Plain | _ -> Flid.Robust);
+    receiver_mode =
+      (match defence with Delta_only -> Some Flid.Plain | _ -> None);
+    ecn = defence = Delta_sigma_ecn;
+    agent_config =
+      {
+        Mcc_sigma.Router_agent.default_config with
+        Mcc_sigma.Router_agent.interface_keys = true;
+      };
+  }
+
 let defence_str = function
   | Undefended -> "plain"
   | Delta_only -> "delta"

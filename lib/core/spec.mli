@@ -262,6 +262,21 @@ val churn_str : churn_spec -> string
 val traffic_str : traffic_spec -> string
 (** "web" or "tcp". *)
 
+type defence_setup = {
+  sigma_enforced : bool;  (** SIGMA agents enforce keys at the edge *)
+  mode : mode;  (** the senders' mode: [Plain] only when undefended *)
+  receiver_mode : mode option;
+      (** [Some Plain] under DELTA alone: IGMP receivers behind a legacy
+          edge *)
+  ecn : bool;  (** ECN marking and DELTA component scrubbing *)
+  agent_config : Mcc_sigma.Router_agent.config;
+      (** the agents' configuration: interface-specific keys *)
+}
+(** What a defence sets up around a multicast session; the matrix cells
+    and the workload builder both start from it. *)
+
+val defence_setup : defence -> defence_setup
+
 val defence_str : defence -> string
 (** "plain", "delta", "delta+sigma" or "delta+sigma+ecn". *)
 

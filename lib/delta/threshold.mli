@@ -33,8 +33,9 @@ val level_quorum : sender -> level:int -> int
 
 val shares_for_packet :
   sender -> group:int -> packet_index:int -> (int * Mcc_util.Shamir.share) list
-(** Shares carried by packet number [packet_index] (1-based within the
-    whole slot's numbering of groups 1..N in order): one [(level,
+(** Shares carried by packet number [packet_index] of [group], 1-based
+    within that group's packets of the slot (at most the group's
+    count); the slot-wide abscissa is derived from it.  One [(level,
     share)] pair for every level >= the packet's group. *)
 
 val share_bytes_per_packet : sender -> group:int -> int

@@ -58,7 +58,7 @@ type state = {
   mutable decreases : int;
 }
 
-type receiver = state Flid.chassis
+type receiver = (state, Mcc_delta.Layered.receiver) Slot_receiver.t
 
 (* The control law (per slot): EWMA of the slot's ECN mark fraction,
    with packet loss saturating the congestion signal.  Above the target,
@@ -66,14 +66,14 @@ type receiver = state Flid.chassis
    excess) and a probe reset; below, additive increase with an
    exponentially growing quantum.  Returns the level the rate variable
    asks for, before key/authorization constraints. *)
-let control_update st (rec_ : Flid.slot_rec) ~effective ~any_lost =
+let control_update st (rec_ : Slot_receiver.slot_rec) ~effective ~any_lost =
   let c = st.c in
   let layering = c.flid.Flid.layering in
   let received = ref 0 and marked = ref 0 in
   for g = 1 to effective do
-    let gs = rec_.Flid.per_group.(g - 1) in
-    received := !received + gs.Flid.count;
-    marked := !marked + gs.Flid.marked
+    let ls = rec_.Slot_receiver.lanes.(g - 1) in
+    received := !received + ls.Slot_receiver.count;
+    marked := !marked + ls.Slot_receiver.marked
   done;
   let fraction =
     if any_lost || !received = 0 then 1.0
@@ -99,12 +99,15 @@ let control_update st (rec_ : Flid.slot_rec) ~effective ~any_lost =
 (* Desired level after the per-slot constraints: decreases may span
    several levels at once, increases move one level per slot and only
    when the slot's mask authorized an upgrade to level+1. *)
-let constrain_desired st (rec_ : Flid.slot_rec) ~level ~effective ~desired =
+let constrain_desired st (rec_ : Slot_receiver.slot_rec) ~level ~effective
+    ~desired =
   let layering = st.c.flid.Flid.layering in
   let desired =
     if desired > level then
-      if effective = level && Layering.mask_bit rec_.Flid.mask (level + 1) then
-        level + 1
+      if
+        effective = level
+        && Layering.mask_bit rec_.Slot_receiver.mask (level + 1)
+      then level + 1
       else level
     else desired
   in
@@ -132,7 +135,7 @@ let judge st rec_ ~level ~effective ~any_lost =
     constrain_desired st rec_ ~level ~effective ~desired:rate_level
   in
   {
-    Flid.signal;
+    Slot_receiver.signal;
     desired;
     may_upgrade = (not signal) && desired > level;
     ceiling = desired;
@@ -144,7 +147,7 @@ let judge st rec_ ~level ~effective ~any_lost =
    the attainable level down. *)
 let law =
   {
-    Flid.name = "oversub";
+    Slot_receiver.name = "oversub";
     marks_lost = false;
     judge;
     shed =
@@ -154,6 +157,7 @@ let law =
             (Layering.cumulative_rate st.c.flid.Flid.layering
                ~level:(max 1 level)));
     settle = (fun _ _ -> ());
+    stop = ignore;
     attrs = (fun st -> [ ("ewma", Json.Float st.ewma) ]);
     gauges = [ ("mark_ewma", fun st -> st.ewma) ];
   }
@@ -168,13 +172,14 @@ let receiver_start ?at ?behavior topo ~host ~prng config =
       decreases = 0;
     }
   in
-  Flid.chassis_start ?at ?behavior ~law ~state topo ~host ~prng config.flid
+  let flid = config.flid in
+  Slot_receiver.start ?at ?behavior topo ~host ~prng ~mode:flid.Flid.mode
+    ~processing_margin:flid.Flid.processing_margin (Flid.sender_session flid)
+    (Flid.keys flid) law state
 
-let receiver_meter = Flid.receiver_meter
-let receiver_level = Flid.receiver_level
-let level_series = Flid.level_series
-let congestion_events = Flid.congestion_events
-let decrease_events r = (Flid.law_state r).decreases
-let mark_ewma r = (Flid.law_state r).ewma
-let receiver_stop = Flid.receiver_stop
-let receiver_leave = Flid.receiver_leave
+let receiver_meter = Slot_receiver.meter
+let receiver_level = Slot_receiver.level
+let congestion_events = Slot_receiver.congestion_events
+let decrease_events r = (Slot_receiver.state r).decreases
+let mark_ewma r = (Slot_receiver.state r).ewma
+let receiver_leave = Slot_receiver.leave

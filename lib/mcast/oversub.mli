@@ -90,7 +90,7 @@ val sender_stop : sender -> unit
 
 (** {1 Receiver}
 
-    The receiver is FLID's chassis ({!Flid.chassis_start}) running the
+    The receiver is {!Slot_receiver} with FLID's key scheme running the
     EWMA law: loss is missing packets only (a marked packet arrived and
     counts toward the mark fraction), and the chassis sheds or adds
     levels as the rate variable asks. *)
@@ -99,7 +99,7 @@ type receiver
 
 val receiver_start :
   ?at:float ->
-  ?behavior:Flid.behavior ->
+  ?behavior:Slot_receiver.behavior ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
@@ -116,9 +116,6 @@ val receiver_meter : receiver -> Mcc_util.Meter.t
 val receiver_level : receiver -> int
 (** Current subscription level. *)
 
-val level_series : receiver -> Mcc_util.Series.t
-(** (time, level) samples recorded at every level change. *)
-
 val mark_ewma : receiver -> float
 (** Current EWMA of the mark fraction. *)
 
@@ -129,9 +126,6 @@ val congestion_events : receiver -> int
 val decrease_events : receiver -> int
 (** Slots on which the EWMA exceeded the target and the rate variable
     was multiplicatively decreased. *)
-
-val receiver_stop : receiver -> unit
-(** Freezes the receiver; group membership decays via key expiry. *)
 
 val receiver_leave : receiver -> unit
 (** Orderly departure: leave every subscribed group at once (an

@@ -3,9 +3,11 @@
     module instead of matching on the protocol.  {!Flid}, {!Rlm_like},
     {!Replicated_proto} and {!Oversub} satisfy it as they are.
 
-    Adding a protocol is one module satisfying {!S} (for a cumulative
-    layered one, a receiver law run by {!Flid.chassis_start}) plus one
-    entry in [Mcc_core.Spec.protocols]. *)
+    Each of them is a configuration, a sender scheme run by
+    {!Slot_sender}, and a receiver law plus a key scheme run by
+    {!Slot_receiver}.  Adding a protocol is one such module (for one
+    that reuses a DELTA instantiation, just a law) plus one entry in
+    [Mcc_core.Spec.protocols]. *)
 
 module type S = sig
   type config
@@ -37,7 +39,7 @@ module type S = sig
 
   val receiver_start :
     ?at:float ->
-    ?behavior:Flid.behavior ->
+    ?behavior:Slot_receiver.behavior ->
     Mcc_net.Topology.t ->
     host:Mcc_net.Node.t ->
     prng:Mcc_util.Prng.t ->
@@ -46,6 +48,10 @@ module type S = sig
 
   val receiver_meter : receiver -> Mcc_util.Meter.t
   (** Bytes of session data reaching the receiver's host. *)
+
+  val receiver_level : receiver -> int
+  (** Current subscription level: the single group held, for a
+      replicated session. *)
 
   val receiver_leave : receiver -> unit
   (** Orderly departure: leave the subscribed groups and stop. *)

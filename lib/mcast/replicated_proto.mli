@@ -74,11 +74,16 @@ val sender_start :
 val sender_stats : sender -> Slot_sender.stats
 val sender_stop : sender -> unit
 
+(** {1 Receiver} {!Slot_receiver} with the replicated XOR scheme on a
+    single-group holding and FLID's step rule as its switch: only the
+    held group's packets count toward loss (an ECN mark is none) and
+    close its slots. *)
+
 type receiver
 
 val receiver_start :
   ?at:float ->
-  ?behavior:Flid.behavior ->
+  ?behavior:Slot_receiver.behavior ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
@@ -87,13 +92,10 @@ val receiver_start :
 
 val receiver_meter : receiver -> Mcc_util.Meter.t
 
-val receiver_group : receiver -> int
-(** The single group currently subscribed (0 while re-admitting). *)
+val receiver_level : receiver -> int
+(** The single group currently subscribed. *)
 
 val group_series : receiver -> Mcc_util.Series.t
-
-val receiver_stop : receiver -> unit
-(** Freezes the receiver; group membership decays via key expiry. *)
 
 val receiver_leave : receiver -> unit
 (** Orderly departure: leave the subscribed group (every group, for a

@@ -3,15 +3,10 @@ module Node = Mcc_net.Node
 module Packet = Mcc_net.Packet
 module Payload = Mcc_net.Payload
 module Topology = Mcc_net.Topology
-module Multicast = Mcc_net.Multicast
-module Meter = Mcc_util.Meter
 module Shamir = Mcc_util.Shamir
 module Threshold = Mcc_delta.Threshold
 module Mux = Mcc_transport.Mux
-module Client = Mcc_sigma.Client
 module Metrics = Mcc_obs.Metrics
-module Tracer = Mcc_obs.Tracer
-module Json = Mcc_obs.Json
 
 type policy = Ladder | Equation
 
@@ -158,16 +153,16 @@ let scheme config =
   let draw = match config.mode with Flid.Plain -> None | Flid.Robust -> Some draw in
   { Slot_sender.width = 31; fec = Mcc_sigma.Fec.Repetition 2; draw; keys; payload }
 
+let session config =
+  { Slot_sender.id = config.id; base_group = config.base_group;
+    layering = config.layering; slot_duration = config.slot_duration;
+    packet_size = config.packet_size; upgrade_period = config.upgrade_period }
+
 let sender_start ?at topo ~node ~prng config =
   let s =
     Slot_sender.start ?at topo ~node ~prng
       ~rate:(fun g -> Layering.layer_rate config.layering ~group:g)
-      ~repair_fraction:config.repair_fraction
-      { Slot_sender.id = config.id; base_group = config.base_group;
-        layering = config.layering; slot_duration = config.slot_duration;
-        packet_size = config.packet_size;
-        upgrade_period = config.upgrade_period }
-      (scheme config)
+      ~repair_fraction:config.repair_fraction (session config) (scheme config)
   in
   (* Echo RTT probes: the Equation policy measures its multicast round
      trip against the sender. *)
@@ -188,73 +183,25 @@ let sender_stop = Slot_sender.stop
 (* Receiver                                                          *)
 (* ----------------------------------------------------------------- *)
 
-type group_slot_rec = {
-  mutable count : int;
-  mutable last_seq : int option;
-}
-
-type slot_rec = {
-  per_group : group_slot_rec array;
-  top_recv : Threshold.receiver;
-  inc_recv : Threshold.receiver;
-  mutable mask : int;
-}
-
-type receiver = {
-  r_config : config;
-  r_topo : Topology.t;
-  r_host : Node.t;
-  r_meter : Meter.t;
-  mutable r_level : int;
-  r_active_since : int array;
-  r_clock : slot_rec Slot_clock.t;
-  r_client : Client.t option;
-  r_loss_est : Tfrc.Loss_estimator.t;
-  mutable r_srtt : float option;
-  mutable r_probe : Sim.handle option;  (* the Equation policy's RTT probe *)
-}
-
-let receiver_meter r = r.r_meter
-let receiver_level r = r.r_level
-let receiver_rtt r = r.r_srtt
-let receiver_loss_rate r = Tfrc.Loss_estimator.value r.r_loss_est
-let receiver_stop r =
-  Slot_clock.stop r.r_clock;
-  Option.iter Sim.cancel r.r_probe
-
-let receiver_leave r =
-  if not (Slot_clock.stopped r.r_clock) then begin
-    Flid.depart r.r_topo ~host:r.r_host r.r_client
-      ~groups:
-        (List.init (max 0 r.r_level) (fun i -> group_addr r.r_config (i + 1)));
-    receiver_stop r
-  end
-
-let[@hot] effective_level r slot =
-  Layering.effective_level r.r_active_since ~level:r.r_level slot
-
 (* Expected packets of a group this slot, falling back to the rate-based
    estimate when even the last packet was lost. *)
-let expected r rec_ g =
-  let gs = rec_.per_group.(g - 1) in
-  match gs.last_seq with
-  | Some l -> l + 1
-  | None ->
-      if gs.count > 0 then gs.count + 1
-      else
-        let config = r.r_config in
-        let rate = Layering.layer_rate config.layering ~group:g in
-        let originals =
-          rate *. config.slot_duration /. float_of_int (config.packet_size * 8)
-        in
-        max 1
-          (int_of_float (originals *. (1. +. config.repair_fraction)))
+let expected config (rec_ : Slot_receiver.slot_rec) g =
+  let ls = rec_.Slot_receiver.lanes.(g - 1) in
+  if ls.Slot_receiver.last_seq >= 0 then ls.Slot_receiver.last_seq + 1
+  else if ls.Slot_receiver.count > 0 then ls.Slot_receiver.count + 1
+  else
+    let rate = Layering.layer_rate config.layering ~group:g in
+    let originals =
+      rate *. config.slot_duration /. float_of_int (config.packet_size * 8)
+    in
+    max 1 (int_of_float (originals *. (1. +. config.repair_fraction)))
 
-let loss_rate r rec_ ~upto =
+let loss_rate config rec_ ~upto =
   let exp_total = ref 0 and got_total = ref 0 in
   for g = 1 to upto do
-    exp_total := !exp_total + expected r rec_ g;
-    got_total := !got_total + rec_.per_group.(g - 1).count
+    exp_total := !exp_total + expected config rec_ g;
+    got_total :=
+      !got_total + rec_.Slot_receiver.lanes.(g - 1).Slot_receiver.count
   done;
   if !exp_total = 0 then 0.
   else
@@ -263,197 +210,155 @@ let loss_rate r rec_ ~upto =
 
 (* Quorum for level l given its expected packet count, mirroring the
    sender's construction. *)
-let quorum_for r rec_ ~level =
+let quorum_for config rec_ ~level =
   let n_l = ref 0 in
   for g = 1 to level do
-    n_l := !n_l + expected r rec_ g
+    n_l := !n_l + expected config rec_ g
   done;
   max 1
-    (int_of_float
-       (ceil ((1. -. threshold r.r_config ~level) *. float_of_int !n_l)))
+    (int_of_float (ceil ((1. -. threshold config ~level) *. float_of_int !n_l)))
 
-let eval_slot r slot rec_ =
-  let config = r.r_config in
+(* A slot's shares: the level keys', and the increase keys' indexed by
+   the level they extend (key l guards level l+1). *)
+type shares = { top : Threshold.receiver; inc : Threshold.receiver }
+
+(* The Shamir threshold scheme: the level the keys reach is exactly the
+   prefix of the target subscription whose keys reconstruct.  The
+   quorum estimate mirrors the sender's; an estimate off by a lost tail
+   merely under-claims. *)
+let keys config =
   let n = config.layering.Layering.groups in
-  Metrics.tick "rlm.slots";
-  let level_before = r.r_level in
-  let g = effective_level r slot in
-  if g >= 1 then begin
-    let rate_g = loss_rate r rec_ ~upto:g in
-    Tfrc.Loss_estimator.update r.r_loss_est ~loss_rate:rate_g;
-    let congested = rate_g > threshold config ~level:g in
-    if congested then Metrics.tick "rlm.inferred_losses";
-    let ladder_target () =
-      if congested then begin
-        (* Drop to the highest level whose tolerance covers its loss. *)
-        let rec descend l =
-          if l < 1 then 0
-          else if loss_rate r rec_ ~upto:l <= threshold config ~level:l then l
-          else descend (l - 1)
-        in
-        descend (g - 1)
-      end
-      else if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1)
-      then g + 1
-      else min g r.r_level
+  let slot_end shares rec_ ~level:_ ~effective:g ~lost:_ v =
+    let reconstruct l =
+      if l = g + 1 then
+        (* Upgrade: the increase key for level g+1 lives in the inc
+           scheme at index g. *)
+        Threshold.reconstruct shares.inc ~level:g
+          ~quorum:(quorum_for config rec_ ~level:g)
+      else
+        Threshold.reconstruct shares.top ~level:l
+          ~quorum:(quorum_for config rec_ ~level:l)
     in
-    let equation_target () =
-      let p = Tfrc.Loss_estimator.value r.r_loss_est in
-      let rtt = Option.value r.r_srtt ~default:0.1 in
-      let fair_rate =
-        Tfrc.throughput ~packet_bytes:config.packet_size ~rtt ~loss_rate:p
-      in
-      let desired =
-        if fair_rate = infinity then n
-        else max 1 (Layering.fair_level config.layering ~rate_bps:fair_rate)
-      in
-      if desired > g then
-        (* Upgrades remain gated by increase-key authorization. *)
-        if g = r.r_level && g < n && Layering.mask_bit rec_.mask (g + 1)
-        then g + 1
-        else min g r.r_level
-      else desired
+    let rec prefix l keys =
+      if l > min v.Slot_receiver.desired n then (l - 1, keys)
+      else
+        match reconstruct l with
+        | Some k -> prefix (l + 1) ((l, k) :: keys)
+        | None -> (l - 1, keys)
     in
-    let target =
-      match config.policy with
-      | Ladder -> ladder_target ()
-      | Equation -> equation_target ()
-    in
-    (match (config.mode, r.r_client) with
-    | Flid.Robust, Some client ->
-        (* Reconstruct a key per group of the target subscription.  The
-           quorum estimate mirrors the sender's; an estimate off by a
-           lost tail merely under-claims. *)
-        let pairs = ref [] in
-        let reachable = ref 0 in
-        (try
-           for l = 1 to min target n do
-             let key =
-               if l = g + 1 then
-                 (* Upgrade: the increase key for level g+1 lives in the
-                    inc scheme at index g. *)
-                 Threshold.reconstruct rec_.inc_recv ~level:g
-                   ~quorum:(quorum_for r rec_ ~level:g)
-               else
-                 Threshold.reconstruct rec_.top_recv ~level:l
-                   ~quorum:(quorum_for r rec_ ~level:l)
-             in
-             match key with
-             | Some k ->
-                 pairs := (group_addr config l, k) :: !pairs;
-                 reachable := l
-             | None -> raise Exit
-           done
-         with Exit -> ());
-        if !pairs <> [] then
-          Client.subscribe client ~slot:(slot + 2) ~pairs:!pairs;
-        let next = !reachable in
-        if next = 0 then begin
-          Client.session_join client ~group:(group_addr config 1);
-          r.r_active_since.(0) <- slot + 3;
-          r.r_level <- 1
-        end
-        else begin
-          if next > r.r_level then r.r_active_since.(next - 1) <- slot + 2;
-          if next < r.r_level then begin
-            let dropped =
-              List.init (r.r_level - next) (fun i -> group_addr config (next + i + 1))
-            in
-            Client.unsubscribe client ~groups:dropped;
-            for l = next + 1 to r.r_level do
-              r.r_active_since.(l - 1) <- max_int
-            done
-          end;
-          r.r_level <- next
-        end
-    | Flid.Plain, _ | Flid.Robust, None ->
-        let next = if target = 0 then 1 else target in
-        if next > r.r_level then begin
-          for l = r.r_level + 1 to next do
-            Multicast.host_join r.r_topo ~host:r.r_host
-              ~group:(group_addr config l);
-            r.r_active_since.(l - 1) <- slot + 2
-          done
-        end
-        else if next < r.r_level then
-          for l = next + 1 to r.r_level do
-            Multicast.host_leave r.r_topo ~host:r.r_host
-              ~group:(group_addr config l);
-            r.r_active_since.(l - 1) <- max_int
-          done;
-        r.r_level <- next)
-  end;
-  let delta = r.r_level - level_before in
-  if delta <> 0 then begin
-    Metrics.tick "rlm.level_changes";
-    Metrics.tick (if delta > 0 then "rlm.joins" else "rlm.leaves") ~by:(abs delta);
-    if Tracer.enabled () then
-      Tracer.emit ~sim_time:(Sim.now (Topology.sim r.r_topo))
-        ~component:"rlm.receiver" ~event:"level" (fun () ->
-          [
-            ("host", Json.Int r.r_host.Node.id);
-            ("level", Json.Int r.r_level);
-          ])
-  end
-
-let on_data r pkt =
-  match pkt.Packet.payload with
-  | Rlm_data { session; group; slot; seq; last; repair = _; upgrade_mask;
-               top_shares; inc_shares }
-    when session = r.r_config.id ->
-      let now = Sim.now (Topology.sim r.r_topo) in
-      Meter.record r.r_meter ~time:now ~bytes:pkt.Packet.size;
-      let clock = r.r_clock in
-      if Slot_clock.sync clock ~slot && r.r_active_since.(0) = max_int then
-        r.r_active_since.(0) <- slot + 1;
-      Slot_clock.close_lane clock ~lane:(group - 1) ~slot ~last;
-      if slot >= Slot_clock.next_eval clock then begin
-        let rec_ = Slot_clock.slot_rec clock slot in
-        let gs = rec_.per_group.(group - 1) in
-        gs.count <- gs.count + 1;
-        if last then gs.last_seq <- Some seq;
-        rec_.mask <- rec_.mask lor upgrade_mask;
-        Threshold.on_shares rec_.top_recv top_shares;
-        Threshold.on_shares rec_.inc_recv
-          (List.map (fun (target, share) -> (target - 1, share)) inc_shares)
-      end;
-      Slot_clock.try_eval clock
-  | _ -> ()
-
-let receiver_start ?(at = 0.) ?behavior:_ topo ~host ~prng:_ config =
-  let n = config.layering.Layering.groups in
-  let r =
-    {
-      r_config = config;
-      r_topo = topo;
-      r_host = host;
-      r_meter = Meter.create ();
-      r_level = 1;
-      r_active_since = Array.make n max_int;
-      r_clock =
-        Slot_clock.create (Topology.sim topo)
-          ~slot_duration:config.slot_duration
-          ~processing_margin:config.processing_margin ~lanes:n
-          ~fresh:(fun () ->
-            {
-              per_group =
-                Array.init n (fun _ -> { count = 0; last_seq = None });
-              top_recv = Threshold.receiver_create ~levels:n;
-              inc_recv = Threshold.receiver_create ~levels:(max 1 (n - 1));
-              mask = 0;
-            });
-      r_client =
-        (match config.mode with
-        | Flid.Robust -> Some (Client.create ~width:31 topo ~host)
-        | Flid.Plain -> None);
-      r_loss_est = Tfrc.Loss_estimator.create ();
-      r_srtt = None;
-      r_probe = None;
-    }
+    let level, keys = prefix 1 [] in
+    { Slot_receiver.level; keys }
   in
-  Slot_clock.bind r.r_clock ~span:(effective_level r) ~eval:(eval_slot r);
-  Flid.sample_series ~prefix:"rlm" ~id:config.id ~host r.r_meter
-    [ ("level", fun () -> float_of_int r.r_level) ];
+  {
+    Slot_receiver.width = 31;
+    holding = Cumulative;
+    read =
+      (fun payload c ->
+        match payload with
+        | Rlm_data { session; group; slot; seq; last; upgrade_mask; _ }
+          when session = config.id ->
+            c.Slot_receiver.group <- group;
+            c.slot <- slot;
+            c.seq <- seq;
+            c.last <- last;
+            c.mask <- upgrade_mask;
+            true
+        | _ -> false);
+    evidence =
+      (fun () ->
+        {
+          top = Threshold.receiver_create ~levels:n;
+          inc = Threshold.receiver_create ~levels:(max 1 (n - 1));
+        });
+    add =
+      (fun shares _ pkt ->
+        match pkt.Packet.payload with
+        | Rlm_data { top_shares; inc_shares; _ } ->
+            Threshold.on_shares shares.top top_shares;
+            Threshold.on_shares shares.inc
+              (List.map (fun (target, share) -> (target - 1, share)) inc_shares)
+        | _ -> ());
+    slot_end;
+    leave_on_rejoin = false;
+    knock = false;
+  }
+
+(* The law's state: the TFRC loss-event estimator and, for the Equation
+   policy, the probed round-trip time. *)
+type state = {
+  c : config;
+  loss_est : Tfrc.Loss_estimator.t;
+  mutable srtt : float option;
+  mutable probe : Sim.handle option;
+}
+
+(* Ladder: down to the highest level whose tolerance covers its loss;
+   Equation: the level the TCP equation's rate sustains.  Upgrades are
+   one authorized step from a fully effective subscription; a clean
+   slot otherwise asks for no more than the effective level. *)
+let judge st rec_ ~level ~effective:g ~any_lost:_ =
+  let config = st.c in
+  let n = config.layering.Layering.groups in
+  let rate_g = loss_rate config rec_ ~upto:g in
+  Tfrc.Loss_estimator.update st.loss_est ~loss_rate:rate_g;
+  let congested = rate_g > threshold config ~level:g in
+  if congested then Metrics.tick "rlm.inferred_losses";
+  let step_up () =
+    if g = level && g < n && Layering.mask_bit rec_.Slot_receiver.mask (g + 1)
+    then g + 1
+    else min g level
+  in
+  let desired =
+    match config.policy with
+    | Ladder ->
+        if congested then begin
+          let rec descend l =
+            if l < 1 then 0
+            else if loss_rate config rec_ ~upto:l <= threshold config ~level:l
+            then l
+            else descend (l - 1)
+          in
+          descend (g - 1)
+        end
+        else step_up ()
+    | Equation ->
+        let p = Tfrc.Loss_estimator.value st.loss_est in
+        let rtt = Option.value st.srtt ~default:0.1 in
+        let fair_rate =
+          Tfrc.throughput ~packet_bytes:config.packet_size ~rtt ~loss_rate:p
+        in
+        let desired =
+          if fair_rate = infinity then n
+          else max 1 (Layering.fair_level config.layering ~rate_bps:fair_rate)
+        in
+        if desired > g then step_up () else desired
+  in
+  {
+    Slot_receiver.signal = congested;
+    desired;
+    may_upgrade = desired > level;
+    ceiling = max_int;
+  }
+
+let law =
+  {
+    Slot_receiver.name = "rlm";
+    marks_lost = false;
+    judge;
+    shed = (fun _ ~level:_ -> ());
+    settle = Slot_receiver.count_moves "rlm";
+    stop = (fun st -> Option.iter Sim.cancel st.probe);
+    attrs = (fun _ -> []);
+    gauges = [];
+  }
+
+type receiver = (state, shares) Slot_receiver.t
+
+let receiver_start ?(at = 0.) ?behavior topo ~host ~prng config =
+  let st =
+    { c = config; loss_est = Tfrc.Loss_estimator.create (); srtt = None;
+      probe = None }
+  in
   (match config.policy with
   | Equation ->
       (* RTT probing toward the session source, one probe per second. *)
@@ -462,13 +367,13 @@ let receiver_start ?(at = 0.) ?behavior:_ topo ~host ~prng:_ config =
           | Rtt_echo { session; receiver; sent_at }
             when session = config.id && receiver = host.Node.id ->
               let sample = Sim.now (Topology.sim topo) -. sent_at in
-              (r.r_srtt <-
-                (match r.r_srtt with
+              st.srtt <-
+                (match st.srtt with
                 | None -> Some sample
-                | Some srtt -> Some ((0.875 *. srtt) +. (0.125 *. sample))));
+                | Some srtt -> Some ((0.875 *. srtt) +. (0.125 *. sample)));
               true
           | _ -> false);
-      r.r_probe <-
+      st.probe <-
         Some
           (Sim.every (Topology.sim topo) ~start:(at +. 0.1) ~period:1.0
              (fun () ->
@@ -485,7 +390,13 @@ let receiver_start ?(at = 0.) ?behavior:_ topo ~host ~prng:_ config =
                            }))
                | None -> ()))
   | Ladder -> ());
-  Flid.attach ~at topo ~host r.r_client
-    ~groups:(List.init n (fun i -> group_addr config (i + 1)))
-    (on_data r);
-  r
+  Slot_receiver.start ~at ?behavior topo ~host ~prng ~mode:config.mode
+    ~processing_margin:config.processing_margin (session config) (keys config)
+    law st
+
+let receiver_meter = Slot_receiver.meter
+let receiver_level = Slot_receiver.level
+let receiver_rtt r = (Slot_receiver.state r).srtt
+let receiver_loss_rate r =
+  Tfrc.Loss_estimator.value (Slot_receiver.state r).loss_est
+let receiver_leave = Slot_receiver.leave

@@ -123,18 +123,24 @@ val sender_stats : sender -> Slot_sender.stats
 
 val sender_stop : sender -> unit
 
+(** {1 Receiver} {!Slot_receiver} with the Shamir threshold scheme on
+    a cumulative holding: the level is exactly the prefix of the law's
+    target whose keys reconstruct, and a broken chain re-admits without
+    unsubscribing or knocking.  The law is the ladder or the equation,
+    its state the TFRC loss-event estimator and the RTT probe. *)
+
 type receiver
 
 val receiver_start :
   ?at:float ->
-  ?behavior:Flid.behavior ->
+  ?behavior:Slot_receiver.behavior ->
   Mcc_net.Topology.t ->
   host:Mcc_net.Node.t ->
   prng:Mcc_util.Prng.t ->
   config ->
   receiver
-(** [behavior] is ignored: only well-behaved threshold receivers are
-    modelled. *)
+(** A misbehaving [behavior] acts as on a FLID receiver; [prng] is drawn
+    from only while the receiver is adversarial. *)
 
 val receiver_meter : receiver -> Mcc_util.Meter.t
 val receiver_level : receiver -> int
@@ -144,10 +150,6 @@ val receiver_rtt : receiver -> float option
 
 val receiver_loss_rate : receiver -> float
 (** Smoothed loss-event rate the equation is fed with. *)
-
-val receiver_stop : receiver -> unit
-(** Freezes the receiver and cancels its RTT probe; group membership
-    decays via key expiry. *)
 
 val receiver_leave : receiver -> unit
 (** Orderly departure: leave every subscribed group at once (an

@@ -17,19 +17,8 @@ module Strategy = Mcc_attack.Strategy
 type instance = { meter : Meter.t; lo : float; hi : float }
 
 let run (p : Spec.workload_params) : Experiments.workload_result =
-  let ecn = p.Spec.defence = Spec.Delta_sigma_ecn in
-  let sigma_enforced =
-    match p.Spec.defence with
-    | Spec.Delta_sigma | Spec.Delta_sigma_ecn -> true
-    | Spec.Undefended | Spec.Delta_only -> false
-  in
-  let mode =
-    match p.Spec.defence with
-    | Spec.Undefended -> Flid.Plain
-    | _ -> Flid.Robust
-  in
-  let receiver_mode =
-    match p.Spec.defence with Spec.Delta_only -> Some Flid.Plain | _ -> None
+  let { Spec.sigma_enforced; mode; receiver_mode; ecn; agent_config } =
+    Spec.defence_setup p.Spec.defence
   in
   let slot = Flid.default_slot mode in
   (* One master stream, split in a fixed order so every stochastic
@@ -49,15 +38,7 @@ let run (p : Spec.workload_params) : Experiments.workload_result =
     if sigma_enforced then
       List.map
         (fun edge ->
-          let agent =
-            Router_agent.attach
-              ~config:
-                {
-                  Router_agent.default_config with
-                  Router_agent.interface_keys = true;
-                }
-              topo edge
-          in
+          let agent = Router_agent.attach ~config:agent_config topo edge in
           Router_agent.set_scrubber agent
             (Scenario.delta_transform agent (Prng.split prng));
           agent)

@@ -7,7 +7,7 @@
 module Spec = Mcc_core.Spec
 module Sink = Mcc_core.Sink
 module E = Mcc_core.Experiments
-module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Key = Mcc_delta.Key
 module Prng = Mcc_util.Prng
 module Json = Mcc_obs.Json
@@ -65,7 +65,7 @@ let instantiate kind ~attack_at =
    five-group session. *)
 let ctx ?(slot = 10) ?(history = []) ~prng () =
   {
-    Flid.actx_time = 100.;
+    Slot_receiver.actx_time = 100.;
     actx_slot = slot;
     actx_entitled = [ (900, 0xAA) ];
     actx_groups = [ 900; 901; 902; 903; 904 ];
@@ -94,14 +94,14 @@ let test_guess_budget_and_cursor () =
   let guessed_groups sub =
     List.filter_map
       (fun (g, _) -> if g = 900 then None else Some g)
-      sub.Flid.sub_pairs
+      sub.Slot_receiver.sub_pairs
   in
   (match inst.Strategy.on_slot (ctx ~prng ()) with
   | [ sub ] ->
       Alcotest.(check int) "submitted for the guarded slot" 10
-        sub.Flid.sub_slot;
+        sub.Slot_receiver.sub_slot;
       Alcotest.(check bool) "honest entitlement kept" true
-        (List.mem_assoc 900 sub.Flid.sub_pairs);
+        (List.mem_assoc 900 sub.Slot_receiver.sub_pairs);
       Alcotest.(check (list int)) "budget guesses, round-robin from 901"
         [ 901; 902 ] (guessed_groups sub)
   | subs ->
@@ -121,23 +121,29 @@ let test_replay_behaviour () =
     instantiate (Spec.Stale_replay { lag_slots = 4 }) ~attack_at:30.
   in
   (* No submission old enough: only the honest one goes out. *)
-  let fresh = { Flid.sub_slot = 8; sub_pairs = [ (900, 0x1); (901, 0x2) ] } in
+  let fresh =
+    { Slot_receiver.sub_slot = 8; sub_pairs = [ (900, 0x1); (901, 0x2) ] }
+  in
   (match inst.Strategy.on_slot (ctx ~history:[ fresh ] ~prng ()) with
   | [ honest ] ->
-      Alcotest.(check int) "honest submission only" 10 honest.Flid.sub_slot
+      Alcotest.(check int) "honest submission only" 10
+        honest.Slot_receiver.sub_slot
   | subs ->
       Alcotest.fail (Printf.sprintf "expected 1 submission, got %d"
                        (List.length subs)));
   (* A submission >= lag_slots old is replayed against the current
      slot, keys verbatim. *)
-  let stale = { Flid.sub_slot = 5; sub_pairs = [ (901, 0x2B); (902, 0x2C) ] } in
+  let stale =
+    { Slot_receiver.sub_slot = 5; sub_pairs = [ (901, 0x2B); (902, 0x2C) ] }
+  in
   match inst.Strategy.on_slot (ctx ~history:[ fresh; stale ] ~prng ()) with
   | [ honest; replayed ] ->
-      Alcotest.(check int) "honest part intact" 10 honest.Flid.sub_slot;
+      Alcotest.(check int) "honest part intact" 10
+        honest.Slot_receiver.sub_slot;
       Alcotest.(check int) "replay retargets the current slot" 10
-        replayed.Flid.sub_slot;
+        replayed.Slot_receiver.sub_slot;
       Alcotest.(check bool) "stale keys verbatim" true
-        (replayed.Flid.sub_pairs = stale.Flid.sub_pairs)
+        (replayed.Slot_receiver.sub_pairs = stale.Slot_receiver.sub_pairs)
   | subs ->
       Alcotest.fail (Printf.sprintf "expected 2 submissions, got %d"
                        (List.length subs))
@@ -162,7 +168,7 @@ let test_trace_signatures () =
       let r =
         instantiate (Spec.Stale_replay { lag_slots = 4 }) ~attack_at:30.
       in
-      let stale = { Flid.sub_slot = 5; sub_pairs = [ (901, 0x2B) ] } in
+      let stale = { Slot_receiver.sub_slot = 5; sub_pairs = [ (901, 0x2B) ] } in
       ignore (r.Strategy.on_slot (ctx ~history:[ stale ] ~prng ())));
   let events = List.rev_map (fun r -> r.Tracer.event) !records in
   Alcotest.(check (list string)) "one event per strategy action"

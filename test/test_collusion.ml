@@ -9,6 +9,7 @@ module Scenario = Mcc_core.Scenario
 module Dumbbell = Mcc_core.Dumbbell
 module Defaults = Mcc_core.Defaults
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Router_agent = Mcc_sigma.Router_agent
 module Multicast = Mcc_net.Multicast
 module Node = Mcc_net.Node
@@ -37,7 +38,7 @@ let run ~interface_keys =
     | [ a; b ] -> (a, b)
     | _ -> assert false
   in
-  Flid.set_colluder b ~source:a;
+  Slot_receiver.set_colluder b ~source:a;
   Scenario.run t ~seconds:60.;
   let agent = Option.get (Scenario.agent t) in
   (* B's host is the second receiver host added to the dumbbell; recover

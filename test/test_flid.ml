@@ -1,5 +1,6 @@
 module Scenario = Mcc_core.Scenario
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Slot_sender = Mcc_mcast.Slot_sender
 module Layering = Mcc_mcast.Layering
 module Meter = Mcc_util.Meter
@@ -77,7 +78,8 @@ let attack_scenario ~mode ~seconds ~attack_at =
   let t = Scenario.create ~seed:7 ~bottleneck_rate_bps:1_000_000. () in
   let f1 =
     Scenario.add_multicast t ~mode
-      ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after attack_at) () ]
+      ~receivers:
+        [ Scenario.receiver ~behavior:(Slot_receiver.Inflate_after attack_at) () ]
       ()
   in
   let f2 = Scenario.add_multicast t ~mode ~receivers:[ Scenario.receiver () ] () in

@@ -11,6 +11,7 @@ module Scenario = Mcc_core.Scenario
 module Dumbbell = Mcc_core.Dumbbell
 module Defaults = Mcc_core.Defaults
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Layering = Mcc_mcast.Layering
 module Router_agent = Mcc_sigma.Router_agent
 module Meter = Mcc_util.Meter
@@ -102,11 +103,15 @@ let test_two_attackers_robust () =
   let t = Scenario.create ~seed:84 ~bottleneck_rate_bps:1_000_000. () in
   let f1 =
     Scenario.add_multicast t ~mode:Flid.Robust
-      ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after 20.) () ] ()
+      ~receivers:
+        [ Scenario.receiver ~behavior:(Slot_receiver.Inflate_after 20.) () ]
+      ()
   in
   let f2 =
     Scenario.add_multicast t ~mode:Flid.Robust
-      ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after 25.) () ] ()
+      ~receivers:
+        [ Scenario.receiver ~behavior:(Slot_receiver.Inflate_after 25.) () ]
+      ()
   in
   let tcp1 = Scenario.add_tcp t in
   let tcp2 = Scenario.add_tcp t in

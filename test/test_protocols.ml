@@ -7,6 +7,7 @@ module Dumbbell = Mcc_core.Dumbbell
 module Defaults = Mcc_core.Defaults
 module Router_agent = Mcc_sigma.Router_agent
 module Flid = Mcc_mcast.Flid
+module Slot_receiver = Mcc_mcast.Slot_receiver
 module Slot_sender = Mcc_mcast.Slot_sender
 module Rep = Mcc_mcast.Replicated_proto
 module Rlm = Mcc_mcast.Rlm_like
@@ -57,10 +58,10 @@ let run_replicated ~mode ~behavior ~seconds ~bottleneck =
 
 let test_replicated_plain_converges () =
   let r =
-    run_replicated ~mode:Flid.Plain ~behavior:Flid.Well_behaved ~seconds:60.
-      ~bottleneck:Defaults.fair_share_bps
+    run_replicated ~mode:Flid.Plain ~behavior:Slot_receiver.Well_behaved
+      ~seconds:60. ~bottleneck:Defaults.fair_share_bps
   in
-  let g = Rep.receiver_group r in
+  let g = Rep.receiver_level r in
   Alcotest.(check bool)
     (Printf.sprintf "group %d near fair" g)
     true
@@ -73,8 +74,8 @@ let test_replicated_plain_converges () =
 
 let test_replicated_robust_converges () =
   let r =
-    run_replicated ~mode:Flid.Robust ~behavior:Flid.Well_behaved ~seconds:60.
-      ~bottleneck:Defaults.fair_share_bps
+    run_replicated ~mode:Flid.Robust ~behavior:Slot_receiver.Well_behaved
+      ~seconds:60. ~bottleneck:Defaults.fair_share_bps
   in
   let kbps = Meter.mean_kbps (Rep.receiver_meter r) ~lo:20. ~hi:60. in
   Alcotest.(check bool)
@@ -84,7 +85,7 @@ let test_replicated_robust_converges () =
 
 let test_replicated_plain_attack () =
   let r =
-    run_replicated ~mode:Flid.Plain ~behavior:(Flid.Inflate_after 20.)
+    run_replicated ~mode:Flid.Plain ~behavior:(Slot_receiver.Inflate_after 20.)
       ~seconds:60. ~bottleneck:500_000.
   in
   let kbps = Meter.mean_kbps (Rep.receiver_meter r) ~lo:30. ~hi:60. in
@@ -94,13 +95,13 @@ let test_replicated_plain_attack () =
 
 let test_replicated_robust_attack_blocked () =
   let r =
-    run_replicated ~mode:Flid.Robust ~behavior:(Flid.Inflate_after 20.)
+    run_replicated ~mode:Flid.Robust ~behavior:(Slot_receiver.Inflate_after 20.)
       ~seconds:60. ~bottleneck:500_000.
   in
   (* Fair share for the only session is the whole 500 kbps bottleneck;
      the point is that guessing keys buys nothing beyond the level the
      receiver could sustain anyway: group <= fair level. *)
-  let g = Rep.receiver_group r in
+  let g = Rep.receiver_level r in
   let fair = Layering.fair_level (Defaults.layering ()) ~rate_bps:500_000. in
   Alcotest.(check bool)
     (Printf.sprintf "group %d within entitlement %d" g fair)
@@ -108,8 +109,8 @@ let test_replicated_robust_attack_blocked () =
 
 let test_replicated_group_series () =
   let r =
-    run_replicated ~mode:Flid.Plain ~behavior:Flid.Well_behaved ~seconds:30.
-      ~bottleneck:Defaults.fair_share_bps
+    run_replicated ~mode:Flid.Plain ~behavior:Slot_receiver.Well_behaved
+      ~seconds:30. ~bottleneck:Defaults.fair_share_bps
   in
   Alcotest.(check bool) "switches recorded" true
     (Mcc_util.Series.length (Rep.group_series r) > 0)
@@ -259,42 +260,53 @@ let test_leave_prunes_plain () =
         after_leave (bytes ()))
     Spec.protocols
 
-(* Oversub receivers run FLID's chassis, so a scenario's misbehaving
-   receiver spec is honoured: in plain mode the inflater joins every
-   group and holds the top level; under DELTA + SIGMA its guessed keys
-   are refused and it never reaches it. *)
-let test_oversub_inflater () =
-  let run ~mode ~sigma =
-    let t =
-      Scenario.create ~seed:9 ~sigma ~bottleneck_rate_bps:1_000_000. ()
-    in
-    let s =
-      Scenario.add_session (module Mcc_mcast.Oversub) t ~mode
-        ~receivers:[ Scenario.receiver ~behavior:(Flid.Inflate_after 10.) () ]
-        ()
-    in
-    Scenario.run t ~seconds:40.;
-    (t, List.hd s.Scenario.receivers)
-  in
+(* Every registered receiver runs on the slot chassis, so a scenario's
+   misbehaving receiver spec is honoured: in plain mode the inflater
+   joins every group and holds the top level (or group); under DELTA +
+   SIGMA its guessed keys are refused and it never reaches it. *)
+let test_inflater_honoured () =
   let top = Defaults.groups in
-  let _, plain = run ~mode:Flid.Plain ~sigma:false in
-  Alcotest.(check int) "plain inflater holds the top level" top
-    (Oversub.receiver_level plain);
-  let t, robust = run ~mode:Flid.Robust ~sigma:true in
-  let peak =
-    List.fold_left
-      (fun acc (_, v) -> Float.max acc v)
-      0.
-      (Mcc_util.Series.to_list (Oversub.level_series robust))
-  in
-  Alcotest.(check bool) "delta+sigma inflater never at the top" true
-    (peak < float_of_int top);
-  let rejected =
-    match Scenario.agent t with
-    | Some agent -> (Router_agent.stats agent).Router_agent.keys_rejected
-    | None -> 0
-  in
-  Alcotest.(check bool) "its guessed keys were refused" true (rejected > 0)
+  List.iter
+    (fun (reg : Spec.registration) ->
+      let (module P) = reg.Spec.impl in
+      let run ~mode ~sigma =
+        let t =
+          Scenario.create ~seed:9 ~sigma ~bottleneck_rate_bps:1_000_000. ()
+        in
+        let s =
+          Scenario.add_session (module P) t ~mode
+            ~receivers:
+              [
+                Scenario.receiver
+                  ~behavior:(Slot_receiver.Inflate_after 10.) ();
+              ]
+            ()
+        in
+        let r = List.hd s.Scenario.receivers in
+        (* Sampled well within a slot, so no level is missed. *)
+        let peak = ref 0 in
+        for step = 1 to 800 do
+          Scenario.run t ~seconds:(0.05 *. float_of_int step);
+          peak := max !peak (P.receiver_level r)
+        done;
+        (t, P.receiver_level r, !peak)
+      in
+      let _, level, _ = run ~mode:Flid.Plain ~sigma:false in
+      Alcotest.(check int) (reg.Spec.short ^ ": plain inflater holds the top")
+        top level;
+      let t, _, peak = run ~mode:Flid.Robust ~sigma:true in
+      Alcotest.(check bool)
+        (reg.Spec.short ^ ": delta+sigma inflater never at the top")
+        true (peak < top);
+      let rejected =
+        match Scenario.agent t with
+        | Some agent -> (Router_agent.stats agent).Router_agent.keys_rejected
+        | None -> 0
+      in
+      Alcotest.(check bool)
+        (reg.Spec.short ^ ": its guessed keys were refused")
+        true (rejected > 0))
+    Spec.protocols
 
 (* --- registry-wide sender --------------------------------------------------- *)
 
@@ -428,8 +440,8 @@ let suite =
       Alcotest.test_case "replicated series" `Slow test_replicated_group_series;
       Alcotest.test_case "receiver_leave prunes plain membership" `Slow
         test_leave_prunes_plain;
-      Alcotest.test_case "oversub honours a misbehaving receiver" `Slow
-        test_oversub_inflater;
+      Alcotest.test_case "every protocol honours an inflater" `Slow
+        test_inflater_honoured;
       Alcotest.test_case "slot sender: timing, sequence, overhead, lineage"
         `Slow test_slot_sender;
       Alcotest.test_case "rlm thresholds" `Quick test_rlm_thresholds_decay;
